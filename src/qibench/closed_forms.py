@@ -6,7 +6,11 @@ cryogenically attenuated (maser) coherent-state sources,
     P_err <= (1 / (2 xi1)) exp(-M eta N_S xi2),
 
 their optical and high-background limits, the TMSV error-exponent asymptote,
-and the relative-entropy pairs (D, V) for the asymmetric setting. Square-root
+and the relative-entropy pairs (D, V) for the asymmetric setting. The three
+coherent sources share one bound and one (D, V) primitive: the maser is the
+amplified form with N_A -> n_T, the optical source the same at zero excess
+noise. :func:`closed_bound` and :func:`closed_qre` map a scenario onto them
+through ``Scenario.transmitted_signal`` and ``Scenario.n_added``. Square-root
 differences are evaluated through their conjugate forms, e.g.
 
     sqrt(N_B + 1) - sqrt(N_B) = 1 / (sqrt(N_B + 1) + sqrt(N_B)),
@@ -19,59 +23,11 @@ literal transcriptions in cancellation-free parameter ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .chernoff import BoundResult
+from .protocols import Scenario
 
 _SERIES_EPS = 1e-18
-
-
-@dataclass(frozen=True)
-class AmpParams:
-    """Benchmark parameters for the amplified coherent-state source."""
-
-    n_s: float
-    n_a: float
-    n_b: float
-    eta: float
-    copies: int = 1
-
-    def __post_init__(self):
-        if min(self.n_s, self.n_a, self.n_b) < 0:
-            raise ValueError("photon numbers must be non-negative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
-
-    @classmethod
-    def from_gain(cls, n_s: float, gain: float, n_b: float, eta: float, copies: int = 1) -> "AmpParams":
-        """Build parameters from a physical amplifier gain, N_A = N_B + g_A / 2."""
-        if gain < 1.0:
-            raise ValueError("amplifier gain must be >= 1")
-        return cls(n_s=n_s, n_a=n_b + 0.5 * gain, n_b=n_b, eta=eta, copies=copies)
-
-
-@dataclass(frozen=True)
-class MaserParams:
-    """Benchmark parameters for the attenuated room-temperature maser source."""
-
-    n_s: float
-    phi: float
-    n_t: float
-    n_b: float
-    eta: float
-    copies: int = 1
-
-    def __post_init__(self):
-        if min(self.n_s, self.n_t, self.n_b) < 0:
-            raise ValueError("photon numbers must be non-negative")
-        if not 0.0 < self.phi <= 1.0:
-            raise ValueError("attenuator transmissivity must lie in (0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
 
 
 def _sqrt_gap(n: float) -> float:
@@ -107,33 +63,17 @@ def _bound(prefactor: float, exponent: float, copies: int) -> BoundResult:
     )
 
 
-def qcb_amp(p: AmpParams) -> BoundResult:
-    """Error bound for the amplified source, (1/(2 xi1)) exp(-M eta N_S xi2)."""
-    n1 = p.eta * p.n_a + p.n_b
-    xi1 = _xi1(n1, p.n_b)
-    return _bound(1.0 / xi1, p.eta * p.n_s * _xi2(n1, p.n_b), p.copies)
+def qcb_coherent(signal: float, excess: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
+    """Coherent-source bound (1/(2 xi1)) exp(-M eta N_S xi2) with H1 occupation eta*excess + N_B.
 
-
-def qcb_maser(p: MaserParams) -> BoundResult:
-    """Error bound for the attenuated maser source, (1/(2 chi1)) exp(-M eta phi N_S chi2).
-
-    Same functional form as :func:`qcb_amp` with N_A -> n_T and the source
-    energy scaled by the attenuator transmissivity phi.
+    The amplified source passes (N_S, N_A), the attenuated maser its
+    transmitted photons and n_T, and the optical source excess 0, where the
+    bound reduces to (1/2) exp(-M eta N_S (sqrt(N_B+1)-sqrt(N_B))^2).
+    Inputs are validated by :class:`~qibench.protocols.Scenario`.
     """
-    n1 = p.eta * p.n_t + p.n_b
-    chi1 = _xi1(n1, p.n_b)
-    return _bound(1.0 / chi1, p.eta * p.phi * p.n_s * _xi2(n1, p.n_b), p.copies)
-
-
-def qcb_optical(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
-    """Noise-free coherent-state bound (1/2) exp(-M eta N_S (sqrt(N_B+1)-sqrt(N_B))^2)."""
-    if n_s_eff < 0 or n_b < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    return _bound(1.0, eta * n_s_eff * _sqrt_gap(n_b) ** 2, copies)
+    n1 = eta * excess + n_b
+    xi1 = _xi1(n1, n_b)
+    return _bound(1.0 / xi1, eta * signal * _xi2(n1, n_b), copies)
 
 
 def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
@@ -197,32 +137,25 @@ def _delta_g(n1: float, n_b: float) -> float:
     return 2.0 * math.atanh((u0 - u1) / (1.0 - u0 * u1))
 
 
-def _qre_pair(n_signal: float, excess: float, n_b: float, eta: float) -> tuple[float, float]:
-    """(D, V) for received signal eta*n_signal and H1 excess noise eta*n_add."""
+def qre_coherent(signal: float, excess: float, n_b: float, eta: float) -> tuple[float, float]:
+    """(D, V) for received signal eta*signal and H1 excess noise eta*excess."""
     if n_b <= 0:
         raise ValueError("relative-entropy forms require n_b > 0")
     n1 = eta * excess + n_b
     g1 = math.log1p(1.0 / n1)
-    d = eta * n_signal * g1 + 0.5 * _covariance_divergence(eta * excess, n_b)
+    d = eta * signal * g1 + 0.5 * _covariance_divergence(eta * excess, n_b)
     dg = _delta_g(n1, n_b)
-    v = n_b * (1.0 + n_b) * dg * dg + eta * n_signal * (2.0 * n_b + 1.0) * g1 * g1
+    v = n_b * (1.0 + n_b) * dg * dg + eta * signal * (2.0 * n_b + 1.0) * g1 * g1
     return d, v
 
 
-def qre_amp(p: AmpParams) -> tuple[float, float]:
-    """(D, V) for the amplified source in the asymmetric setting."""
-    return _qre_pair(p.n_s, p.n_a, p.n_b, p.eta)
+def closed_bound(scenario: Scenario) -> BoundResult:
+    """Closed-form symmetric bound for a scenario."""
+    return qcb_coherent(
+        scenario.transmitted_signal, scenario.n_added, scenario.background, scenario.eta, scenario.copies
+    )
 
 
-def qre_maser(p: MaserParams) -> tuple[float, float]:
-    """(D, V) for the attenuated maser source: N_A -> n_T and N_S -> phi N_S."""
-    return _qre_pair(p.phi * p.n_s, p.n_t, p.n_b, p.eta)
-
-
-def qre_optical(n_s_eff: float, n_b: float, eta: float) -> tuple[float, float]:
-    """(D, V) for the noise-free coherent-state transmitter."""
-    if n_s_eff < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    return _qre_pair(n_s_eff, 0.0, n_b, eta)
+def closed_qre(scenario: Scenario) -> tuple[float, float]:
+    """Closed-form (D, V) for a scenario."""
+    return qre_coherent(scenario.transmitted_signal, scenario.n_added, scenario.background, scenario.eta)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .protocols import Scenario
 from .relent import RocCurve
-from .special import erfc, erfc_inv, normal_quantile  # noqa: F401  (re-exported)
+from .special import erfc, erfc_inv
 
 DEFAULT_PFA_GRID = np.geomspace(1e-6, 1.0 - 1e-3, 200)
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.constants import h as _PLANCK_H
-from scipy.constants import k as _BOLTZMANN_K
 
 from .gaussian import (
     GaussianState,
@@ -36,6 +35,10 @@ SCHEMA_VERSION = 1
 DEFAULT_FREQUENCY_HZ = 1.0e9
 FIGURE_BACKGROUND = 6250.0
 MASER_TEMPERATURES_K = (300.0, 77.0, 10.0, 4.0)
+
+# exact SI values (2019 redefinition)
+_PLANCK_H = 6.62607015e-34
+_BOLTZMANN_K = 1.380649e-23
 
 
 def planck_occupation(freq: float, temp: float) -> float:
@@ -81,11 +84,18 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("n_s", "eta", "n_a", "phi", "freq", "t_target", "t_fridge", "n_b", "n_t"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not (isinstance(self.copies, numbers.Real) and float(self.copies).is_integer()):
+            raise ValueError(f"copies must be a whole number, got {self.copies!r}")
+        object.__setattr__(self, "copies", int(self.copies))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
         if not 0.0 < self.phi <= 1.0:
             raise ValueError("attenuator transmissivity must lie in (0, 1]")
-        if min(self.n_s, self.n_a) < 0:
+        if min(self.n_s, self.n_a) < 0 or any(x is not None and x < 0 for x in (self.n_b, self.n_t)):
             raise ValueError("photon numbers must be non-negative")
         if self.copies < 1:
             raise ValueError("copies must be >= 1")

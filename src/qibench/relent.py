@@ -27,6 +27,7 @@ from .gaussian import (
     GaussianState,
     NumericError,
     Tolerances,
+    WilliamsonDecomposition,
     symplectic_form,
     williamson,
 )
@@ -72,6 +73,15 @@ def _check_mixed(nus: np.ndarray, who: str) -> None:
         )
 
 
+def _gibbs_from_williamson(dec: WilliamsonDecomposition, who: str) -> np.ndarray:
+    """Gibbs matrix of a decomposed covariance; see :func:`gibbs_matrix`."""
+    _check_mixed(dec.nus, who)
+    g = 2.0 * np.arctanh(0.5 / dec.nus)
+    s_inv = np.linalg.solve(dec.S, np.eye(dec.S.shape[0]))
+    gibbs = s_inv.T @ np.diag(np.repeat(g, 2)) @ s_inv
+    return 0.5 * (gibbs + gibbs.T)
+
+
 def gibbs_matrix(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Gibbs matrix of a strictly mixed Gaussian state.
 
@@ -79,12 +89,7 @@ def gibbs_matrix(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     g(nu) = ln((nu + 1/2) / (nu - 1/2)) to each symplectic eigenvalue and
     conjugating back with S^{-T} (.) S^{-1}.
     """
-    dec = williamson(state.cov, tol)
-    _check_mixed(dec.nus, "state")
-    g = 2.0 * np.arctanh(0.5 / dec.nus)
-    s_inv = np.linalg.solve(dec.S, np.eye(dec.S.shape[0]))
-    gibbs = s_inv.T @ np.diag(np.repeat(g, 2)) @ s_inv
-    return 0.5 * (gibbs + gibbs.T)
+    return _gibbs_from_williamson(williamson(state.cov, tol), "state")
 
 
 def _clamp_nonneg(x: float, what: str) -> float:
@@ -98,17 +103,8 @@ def _clamp_nonneg(x: float, what: str) -> float:
 def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState, tol: Tolerances) -> RelEntResult:
     dec0 = williamson(rho0.cov, tol)
     dec1 = williamson(rho1.cov, tol)
-    _check_mixed(dec1.nus, "rho1")
-    _check_mixed(dec0.nus, "rho0")
-
-    g0 = 2.0 * np.arctanh(0.5 / dec0.nus)
-    g1 = 2.0 * np.arctanh(0.5 / dec1.nus)
-    s0_inv = np.linalg.solve(dec0.S, np.eye(dec0.S.shape[0]))
-    s1_inv = np.linalg.solve(dec1.S, np.eye(dec1.S.shape[0]))
-    gibbs0 = s0_inv.T @ np.diag(np.repeat(g0, 2)) @ s0_inv
-    gibbs1 = s1_inv.T @ np.diag(np.repeat(g1, 2)) @ s1_inv
-    gibbs0 = 0.5 * (gibbs0 + gibbs0.T)
-    gibbs1 = 0.5 * (gibbs1 + gibbs1.T)
+    gibbs1 = _gibbs_from_williamson(dec1, "rho1")
+    gibbs0 = _gibbs_from_williamson(dec0, "rho0")
 
     # ln det(V1 + i Omega/2) - ln det(V0 + i Omega/2), paired by sorted spectra
     lndet_diff = float(
@@ -228,17 +224,6 @@ def relative_entropy(
     if dps is not None:
         return _rel_ent_mp(rho0, rho1, dps)
     return _rel_ent_f64(rho0, rho1, tol)
-
-
-def relative_entropy_variance(
-    rho0: GaussianState,
-    rho1: GaussianState,
-    tol: Tolerances = DEFAULT_TOL,
-    dps: int | None = None,
-) -> RelEntResult:
-    """Relative entropy variance V(rho0 || rho1); shares the core with
-    :func:`relative_entropy` and returns the same populated result."""
-    return relative_entropy(rho0, rho1, tol=tol, dps=dps)
 
 
 def _pmd_raw(d: float, v: float, copies: int, epsilon: float) -> tuple[float, bool]:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import closed_forms as cf
-from .chernoff import BoundResult, qbb
+from .chernoff import qbb
 from .gaussian import symplectic_form, williamson
 from .homodyne import (
     channel_from_scenario,
@@ -114,44 +114,6 @@ def benchmark_combos(quick: bool = False) -> list[Scenario]:
     return combos
 
 
-def closed_bound(scenario: Scenario) -> BoundResult:
-    """Closed-form symmetric bound for a scenario."""
-    n_b = scenario.background
-    if scenario.kind == AMPLIFIED:
-        return cf.qcb_amp(cf.AmpParams(scenario.n_s, scenario.n_a, n_b, scenario.eta, scenario.copies))
-    if scenario.kind == MASER:
-        return cf.qcb_maser(
-            cf.MaserParams(
-                n_s=scenario.transmitted_signal,
-                phi=1.0,
-                n_t=scenario.fridge_occupation,
-                n_b=n_b,
-                eta=scenario.eta,
-                copies=scenario.copies,
-            )
-        )
-    return cf.qcb_optical(scenario.transmitted_signal, n_b, scenario.eta, scenario.copies)
-
-
-def closed_qre(scenario: Scenario) -> tuple[float, float]:
-    """Closed-form (D, V) for a scenario."""
-    n_b = scenario.background
-    if scenario.kind == AMPLIFIED:
-        return cf.qre_amp(cf.AmpParams(scenario.n_s, scenario.n_a, n_b, scenario.eta, scenario.copies))
-    if scenario.kind == MASER:
-        return cf.qre_maser(
-            cf.MaserParams(
-                n_s=scenario.transmitted_signal,
-                phi=1.0,
-                n_t=scenario.fridge_occupation,
-                n_b=n_b,
-                eta=scenario.eta,
-                copies=scenario.copies,
-            )
-        )
-    return cf.qre_optical(scenario.transmitted_signal, n_b, scenario.eta)
-
-
 def _rel_dev(a: float, b: float) -> float:
     if a == b:
         return 0.0
@@ -170,7 +132,7 @@ def check_qcb_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
     for scenario in combos:
         pair = hypothesis_pair(scenario)
         oracle = qbb(pair.rho0, pair.rho1, scenario.copies)
-        closed = closed_bound(scenario)
+        closed = cf.closed_bound(scenario)
         dev = _rel_dev(closed.mean_exponent, oracle.mean_exponent)
         if dev > worst:
             worst, worst_label = dev, scenario.label
@@ -194,7 +156,7 @@ def check_qre_equivalence(combos: list[Scenario] | None = None, dps: int = QRE_O
     for scenario in combos:
         pair = hypothesis_pair(scenario)
         oracle = relative_entropy(pair.rho0, pair.rho1, dps=dps)
-        d_closed, v_closed = closed_qre(scenario)
+        d_closed, v_closed = cf.closed_qre(scenario)
         dev = max(_rel_dev(d_closed, oracle.d), _rel_dev(v_closed, oracle.v))
         if dev > worst:
             worst, worst_label = dev, scenario.label
@@ -208,14 +170,15 @@ def check_qre_equivalence(combos: list[Scenario] | None = None, dps: int = QRE_O
 
 
 def check_amplifier_free_limit() -> CheckResult:
-    """qcb_amp at N_A = 0 must reproduce the optical bound exponent."""
+    """The coherent bound at zero excess noise against the conjugate-form
+    optical exponent eta N_S / (sqrt(N_B + 1) + sqrt(N_B))^2."""
     worst = 0.0
     for eta in GRID_ETAS:
         for n_s in GRID_N_S:
             for n_b in (0.3, 1.0, 7.5, 100.0, 6250.0, 1e6, 5e8):
-                amp = cf.qcb_amp(cf.AmpParams(n_s, 0.0, n_b, eta))
-                opt = cf.qcb_optical(n_s, n_b, eta)
-                worst = max(worst, _rel_dev(amp.mean_exponent, opt.mean_exponent))
+                amp = cf.qcb_coherent(n_s, 0.0, n_b, eta)
+                optical = eta * n_s / (math.sqrt(n_b + 1.0) + math.sqrt(n_b)) ** 2
+                worst = max(worst, _rel_dev(amp.mean_exponent, optical))
     return CheckResult(
         name="limit_amp_na0_equals_optical",
         passed=worst <= 1e-12,
@@ -231,7 +194,7 @@ def check_high_background_limit() -> CheckResult:
     The true relative gap is 1/(2 N_B + 1) = 8.0e-5; the stated 2e-5 cannot
     be met by any implementation, so this is a documented expected gap.
     """
-    opt = cf.qcb_optical(1.0, 6250.0, 1.0)
+    opt = cf.qcb_coherent(1.0, 0.0, 6250.0, 1.0)
     hb = cf.qcb_high_background(1.0, 6250.0, 1.0)
     dev = _rel_dev(opt.mean_exponent, hb.mean_exponent)
     return CheckResult(
@@ -249,7 +212,7 @@ def check_factor_four() -> CheckResult:
     background form, within 0.01% of the exact optical one at N_B = 6250."""
     tmsv = cf.tmsv_asymptote(0.37, 6250.0, 0.11).mean_exponent
     hb = cf.qcb_high_background(0.37, 6250.0, 0.11).mean_exponent
-    opt = cf.qcb_optical(0.37, 6250.0, 0.11).mean_exponent
+    opt = cf.qcb_coherent(0.37, 0.0, 6250.0, 0.11).mean_exponent
     exact_four = tmsv / hb == 4.0
     dev_opt = abs(tmsv / opt / 4.0 - 1.0)
     return CheckResult(
@@ -263,8 +226,8 @@ def check_factor_four() -> CheckResult:
 
 def figure_claim_metrics() -> dict[str, float]:
     """Exponent-coincidence metrics behind the published-figure claims."""
-    upper = {s.label: closed_bound(s).mean_exponent for s in figure_grid("fig2_upper")}
-    lower = {s.label: closed_bound(s).mean_exponent for s in figure_grid("fig2_lower")}
+    upper = {s.label: cf.closed_bound(s).mean_exponent for s in figure_grid("fig2_upper")}
+    lower = {s.label: cf.closed_bound(s).mean_exponent for s in figure_grid("fig2_lower")}
     maser_labels = [k for k in lower if k.startswith("mas_")]
     return {
         "upper_mas10K_vs_optical": _rel_dev(upper["mas_10K"], upper["optical"]),

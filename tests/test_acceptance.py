@@ -15,17 +15,15 @@ import pytest
 
 from qibench.chernoff import qbb
 from qibench.cli import main
-from qibench.closed_forms import qcb_high_background, qcb_optical, tmsv_asymptote
+from qibench.closed_forms import closed_bound, closed_qre, qcb_coherent, qcb_high_background, tmsv_asymptote
 from qibench.gaussian import symplectic_form, williamson
 from qibench.homodyne import channel_from_scenario, monte_carlo_roc, pfa_hom, pmd_hom, roc_homodyne, threshold_for_pfa
-from qibench.protocols import figure_grid, hypothesis_pair, hypothesis_pair_via_channels
+from qibench.protocols import AMPLIFIED, build_scenario, figure_grid, hypothesis_pair, hypothesis_pair_via_channels
 from qibench.relent import relative_entropy, roc_asymmetric
 from qibench.special import erfc, erfc_inv, normal_quantile
 from qibench.validation import (
     QRE_ORACLE_DPS,
     benchmark_combos,
-    closed_bound,
-    closed_qre,
     figure_claim_metrics,
     random_physical_cov,
 )
@@ -75,14 +73,13 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2a_amplifier_free_limit():
-    from qibench.closed_forms import AmpParams, qcb_amp
-
     worst = 0.0
     for eta in np.geomspace(1e-8, 1e-1, 10):
         for n_b in (1.0, 100.0, 6250.0, 5e8):
-            noise_free = qcb_amp(AmpParams(0.5, 0.0, n_b, float(eta)))
-            optical = qcb_optical(0.5, n_b, float(eta))
-            worst = max(worst, rel_dev(noise_free.mean_exponent, optical.mean_exponent))
+            scenario = build_scenario(AMPLIFIED, label="amp", n_s=0.5, n_a=0.0, eta=float(eta), copies=1, n_b=n_b)
+            noise_free = closed_bound(scenario)
+            optical = float(eta) * 0.5 / (math.sqrt(n_b + 1.0) + math.sqrt(n_b)) ** 2
+            worst = max(worst, rel_dev(noise_free.mean_exponent, optical))
     passed = worst <= 1e-12
     report("2a (N_A -> 0 recovers optical)", passed, f"max exponent dev {worst:.3e} (<=1e-12)")
     assert worst <= 1e-12
@@ -95,7 +92,7 @@ def test_criterion_2a_amplifier_free_limit():
     "at N_B = 6250 (criterion 3 allows 1e-4 for the same comparison)",
 )
 def test_criterion_2b_high_background_limit():
-    opt = qcb_optical(1.0, 6250.0, 1.0).mean_exponent
+    opt = qcb_coherent(1.0, 0.0, 6250.0, 1.0).mean_exponent
     hb = qcb_high_background(1.0, 6250.0, 1.0).mean_exponent
     dev = rel_dev(opt, hb)
     report("2b (high-background 2e-5)", dev <= 2e-5, f"measured gap {dev:.6e} (stated <=2e-5)")
@@ -105,7 +102,7 @@ def test_criterion_2b_high_background_limit():
 def test_criterion_3_factor_four_advantage():
     tmsv = tmsv_asymptote(0.01, 6250.0, 0.01).mean_exponent
     hb = qcb_high_background(0.01, 6250.0, 0.01).mean_exponent
-    opt = qcb_optical(0.01, 6250.0, 0.01).mean_exponent
+    opt = qcb_coherent(0.01, 0.0, 6250.0, 0.01).mean_exponent
     exact = tmsv / hb
     dev_opt = abs(tmsv / opt / 4.0 - 1.0)
     passed = exact == 4.0 and dev_opt <= 1e-4

@@ -179,12 +179,12 @@ def test_mean_exponent_quadratic_in_displacement():
 def test_amp_pair_exponent_matches_closed_form():
     # the Bhattacharyya split of the general machinery must reproduce the
     # closed-form exponent coefficient on the amplified-source pair
-    from qibench.closed_forms import AmpParams, qcb_amp
+    from qibench.closed_forms import qcb_coherent
 
     n_s, n_a, n_b, eta = 1e-2, 6250.0, 6250.0, 1e-2
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_a + n_b, math.sqrt(eta * n_s))
     oracle = qbb(rho0, rho1, 1)
-    closed = qcb_amp(AmpParams(n_s, n_a, n_b, eta))
+    closed = qcb_coherent(n_s, n_a, n_b, eta)
     assert closed.mean_exponent == pytest.approx(oracle.mean_exponent, rel=1e-8)
     assert closed.prefactor == pytest.approx(oracle.prefactor, rel=1e-10)

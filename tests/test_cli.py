@@ -163,3 +163,31 @@ def test_roc_optimal_surfaces_clamped_points(amp_scenario, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"][0]["meta"]["clamped_points"] > 0
     assert any("clamped" in w for w in report["warnings"])
+
+
+def write_edited(tmp_path, label, **fields):
+    """Scenario file of a fig2-upper scenario with raw JSON fields overwritten."""
+    doc = next(s for s in figure_grid("fig2_upper") if s.label == label).to_dict()
+    doc.update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_bound_rejects_negative_fridge_occupation(tmp_path, capsys):
+    path = write_edited(tmp_path, "mas_300K", n_t=-50.0)
+    assert main(["bound", "--scenario", path, "--method", "oracle"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_bound_rejects_nan_background(tmp_path, capsys):
+    path = write_edited(tmp_path, "amp", n_b=float("nan"))
+    assert main(["bound", "--scenario", path, "--method", "closed"]) == 2
+    assert "n_b must be finite" in capsys.readouterr().err
+
+
+def test_bound_rejects_fractional_copies(tmp_path, capsys):
+    path = write_edited(tmp_path, "amp", copies=2.5)
+    for method in ("closed", "oracle"):
+        assert main(["bound", "--scenario", path, "--method", method]) == 2
+        assert "whole number" in capsys.readouterr().err

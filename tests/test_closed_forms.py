@@ -3,17 +3,29 @@ import math
 import pytest
 
 from qibench.closed_forms import (
-    AmpParams,
-    MaserParams,
-    qcb_amp,
+    closed_bound,
+    closed_qre,
+    qcb_coherent,
     qcb_high_background,
-    qcb_maser,
-    qcb_optical,
-    qre_amp,
-    qre_maser,
-    qre_optical,
+    qre_coherent,
     tmsv_asymptote,
 )
+from qibench.protocols import AMPLIFIED, MASER, OPTICAL, build_scenario
+
+
+def amp(n_s, n_a, n_b, eta, copies=1):
+    return build_scenario(AMPLIFIED, label="amp", n_s=n_s, n_a=n_a, n_b=n_b, eta=eta, copies=copies)
+
+
+def maser(n_s, phi, n_t, n_b, eta, copies=1):
+    """Unmatched maser: transmits phi * n_s through a stage at occupation n_t."""
+    return build_scenario(
+        MASER, energy_matched=False, label="mas", n_s=n_s, phi=phi, n_t=n_t, n_b=n_b, eta=eta, copies=copies
+    )
+
+
+def optical(n_s, n_b, eta, copies=1):
+    return build_scenario(OPTICAL, energy_matched=False, label="opt", n_s=n_s, n_b=n_b, eta=eta, copies=copies)
 
 
 def xi1_printed(n_a, n_b, eta):
@@ -58,31 +70,31 @@ def v_amp_printed(n_s, n_a, n_b, eta):
 def test_stable_forms_match_printed_expressions(n_a, n_b, eta):
     # in cancellation-free ranges the stable rewrites must agree with the
     # literal transcriptions to machine precision
-    bound = qcb_amp(AmpParams(0.7, n_a, n_b, eta))
+    bound = qcb_coherent(0.7, n_a, n_b, eta)
     assert bound.prefactor == pytest.approx(1.0 / xi1_printed(n_a, n_b, eta), rel=1e-12)
     assert bound.mean_exponent == pytest.approx(eta * 0.7 * xi2_printed(n_a, n_b, eta), rel=1e-12)
-    d, v = qre_amp(AmpParams(0.7, n_a, n_b, eta))
+    d, v = qre_coherent(0.7, n_a, n_b, eta)
     assert d == pytest.approx(d_amp_printed(0.7, n_a, n_b, eta), rel=1e-11)
     assert v == pytest.approx(v_amp_printed(0.7, n_a, n_b, eta), rel=1e-11)
 
 
 def test_qcb_amp_without_amplifier_noise_is_optical():
     for n_b in (1.0, 100.0, 6250.0):
-        amp = qcb_amp(AmpParams(0.5, 0.0, n_b, 1e-2, copies=10))
-        opt = qcb_optical(0.5, n_b, 1e-2, copies=10)
-        assert amp.mean_exponent == opt.mean_exponent
-        assert amp.prefactor == pytest.approx(1.0, abs=1e-14)
-        assert amp.value == pytest.approx(opt.value, rel=1e-14)
+        bound = closed_bound(amp(0.5, 0.0, n_b, 1e-2, copies=10))
+        exponent = 1e-2 * 0.5 / (math.sqrt(n_b + 1.0) + math.sqrt(n_b)) ** 2
+        assert bound.mean_exponent == pytest.approx(exponent, rel=1e-14)
+        assert bound.prefactor == pytest.approx(1.0, abs=1e-14)
+        assert bound.value == pytest.approx(0.5 * math.exp(-10 * exponent), rel=1e-14)
 
 
 def test_qcb_amp_zero_reflectivity():
-    bound = qcb_amp(AmpParams(0.5, 6250.0, 6250.0, 0.0))
+    bound = closed_bound(amp(0.5, 6250.0, 6250.0, 0.0))
     assert bound.value == pytest.approx(0.5, abs=1e-15)
     assert bound.prefactor == pytest.approx(1.0, abs=1e-15)
 
 
 def test_qcb_amp_fig2_upper_point():
-    bound = qcb_amp(AmpParams(1e-2, 6250.0, 6250.0, 1e-2))
+    bound = closed_bound(amp(1e-2, 6250.0, 6250.0, 1e-2))
     # frozen from a 50-digit evaluation of the printed expressions
     assert bound.mean_exponent == pytest.approx(3.979782710167972e-09, rel=1e-12)
     assert bound.prefactor == pytest.approx(0.99998762596213689, rel=1e-12)
@@ -90,25 +102,25 @@ def test_qcb_amp_fig2_upper_point():
 
 def test_qcb_maser_substitution_duality():
     for x, n_b, eta in [(6250.0, 6250.0, 1e-2), (207.9, 100.0, 1e-4), (0.3, 1.0, 0.5)]:
-        amp = qcb_amp(AmpParams(0.8, x, n_b, eta, copies=3))
-        mas = qcb_maser(MaserParams(0.8, 1.0, x, n_b, eta, copies=3))
-        assert mas.value == pytest.approx(amp.value, rel=1e-14)
-        assert mas.mean_exponent == pytest.approx(amp.mean_exponent, rel=1e-14)
-    d_amp, v_amp = qre_amp(AmpParams(0.8, 207.9, 100.0, 1e-3))
-    d_mas, v_mas = qre_maser(MaserParams(0.8, 1.0, 207.9, 100.0, 1e-3))
+        a = closed_bound(amp(0.8, x, n_b, eta, copies=3))
+        m = closed_bound(maser(0.8, 1.0, x, n_b, eta, copies=3))
+        assert m.value == pytest.approx(a.value, rel=1e-14)
+        assert m.mean_exponent == pytest.approx(a.mean_exponent, rel=1e-14)
+    d_amp, v_amp = closed_qre(amp(0.8, 207.9, 100.0, 1e-3))
+    d_mas, v_mas = closed_qre(maser(0.8, 1.0, 207.9, 100.0, 1e-3))
     assert d_mas == pytest.approx(d_amp, rel=1e-14)
     assert v_mas == pytest.approx(v_amp, rel=1e-14)
 
 
 def test_qcb_maser_phi_scales_exponent():
-    full = qcb_maser(MaserParams(1.0, 1.0, 207.9, 6250.0, 1e-2))
-    half = qcb_maser(MaserParams(1.0, 0.5, 207.9, 6250.0, 1e-2))
+    full = closed_bound(maser(1.0, 1.0, 207.9, 6250.0, 1e-2))
+    half = closed_bound(maser(1.0, 0.5, 207.9, 6250.0, 1e-2))
     assert half.mean_exponent == pytest.approx(0.5 * full.mean_exponent, rel=1e-14)
 
 
 def test_qcb_maser_cold_limit_reaches_high_background():
     # n_t -> 0 and N_B >> 1: exponent approaches eta phi N_S / (4 N_B)
-    mas = qcb_maser(MaserParams(1.0, 0.7, 0.0, 6250.0, 1e-2))
+    mas = closed_bound(maser(1.0, 0.7, 0.0, 6250.0, 1e-2))
     hb = qcb_high_background(0.7, 6250.0, 1e-2)
     assert mas.mean_exponent == pytest.approx(hb.mean_exponent, rel=1e-3)
 
@@ -116,30 +128,29 @@ def test_qcb_maser_cold_limit_reaches_high_background():
 def test_qcb_maser_10k_energy_matched_point():
     # fig2-upper energy matching: the 10 K maser sits 3.34% below the matched
     # optical exponent (the transmitted energy loses n_T / (N_S + N_A))
-    n_t = 207.866591170045
-    phi_n_s = 1e-2 + 6250.0 - n_t
-    mas = qcb_maser(MaserParams(phi_n_s, 1.0, n_t, 6250.0, 1e-2))
-    opt = qcb_optical(1e-2 + 6250.0, 6250.0, 1e-2)
+    common = dict(n_s=1e-2, n_a=6250.0, n_b=6250.0, eta=1e-2, copies=1)
+    mas = closed_bound(build_scenario(MASER, label="mas", n_t=207.866591170045, **common))
+    opt = closed_bound(build_scenario(OPTICAL, label="opt", **common))
     ratio = mas.mean_exponent / opt.mean_exponent
     assert ratio == pytest.approx(0.9665806756172036, rel=1e-9)
-    amp = qcb_amp(AmpParams(1e-2, 6250.0, 6250.0, 1e-2))
-    assert amp.mean_exponent < mas.mean_exponent < opt.mean_exponent
+    a = closed_bound(build_scenario(AMPLIFIED, label="amp", **common))
+    assert a.mean_exponent < mas.mean_exponent < opt.mean_exponent
 
 
 def test_qcb_optical_values():
-    assert qcb_optical(0.5, 0.0, 0.3).mean_exponent == pytest.approx(0.15, rel=1e-14)
-    coefficient = qcb_optical(1.0, 6250.0, 1.0).mean_exponent
+    assert closed_bound(optical(0.5, 0.0, 0.3)).mean_exponent == pytest.approx(0.15, rel=1e-14)
+    coefficient = closed_bound(optical(1.0, 6250.0, 1.0)).mean_exponent
     assert coefficient == pytest.approx(1.0 / (math.sqrt(6251.0) + math.sqrt(6250.0)) ** 2, rel=1e-14)
     assert coefficient == pytest.approx(1.0 / (4.0 * 6250.0), rel=1e-4)
 
 
 def test_qcb_high_background_ratios():
-    opt = qcb_optical(1.0, 6250.0, 1.0).mean_exponent
+    opt = closed_bound(optical(1.0, 6250.0, 1.0)).mean_exponent
     hb = qcb_high_background(1.0, 6250.0, 1.0).mean_exponent
     assert opt / hb == pytest.approx(1.0, abs=1e-4)
     assert qcb_high_background(0.5, 6250.0, 0.0).value == 0.5
     # at N_B = 1 the two visibly differ: ratio = 4 (sqrt(2) - 1)^2
-    ratio = qcb_optical(1.0, 1.0, 1.0).mean_exponent / qcb_high_background(1.0, 1.0, 1.0).mean_exponent
+    ratio = closed_bound(optical(1.0, 1.0, 1.0)).mean_exponent / qcb_high_background(1.0, 1.0, 1.0).mean_exponent
     assert ratio == pytest.approx(4.0 * (math.sqrt(2.0) - 1.0) ** 2, rel=1e-12)
 
 
@@ -153,13 +164,13 @@ def test_tmsv_asymptote():
 
 
 def test_qre_amp_limits():
-    d, v = qre_amp(AmpParams(0.5, 0.0, 6250.0, 1e-2))
+    d, v = closed_qre(amp(0.5, 0.0, 6250.0, 1e-2))
     g = math.log1p(1.0 / 6250.0)
     assert d == pytest.approx(1e-2 * 0.5 * g, rel=1e-13)
     assert v == pytest.approx(1e-2 * 0.5 * 12501.0 * g * g, rel=1e-13)
-    assert qre_amp(AmpParams(0.5, 6250.0, 6250.0, 0.0)) == (0.0, 0.0)
+    assert closed_qre(amp(0.5, 6250.0, 6250.0, 0.0)) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        qre_amp(AmpParams(0.5, 10.0, 0.0, 1e-2))
+        closed_qre(amp(0.5, 10.0, 0.0, 1e-2))
 
 
 def test_qre_amp_high_noise_point_matches_oracle():
@@ -172,47 +183,63 @@ def test_qre_amp_high_noise_point_matches_oracle():
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_a + n_b, math.sqrt(eta * n_s))
     oracle = relative_entropy(rho0, rho1, dps=50)
-    d, v = qre_amp(AmpParams(n_s, n_a, n_b, eta))
+    d, v = closed_qre(amp(n_s, n_a, n_b, eta))
     assert d == pytest.approx(oracle.d, rel=1e-8)
     assert v == pytest.approx(oracle.v, rel=1e-8)
 
 
 def test_qre_maser_cold_limit_is_optical():
-    d_mas, v_mas = qre_maser(MaserParams(1.0, 0.7, 0.0, 6250.0, 1e-2))
-    d_opt, v_opt = qre_optical(0.7, 6250.0, 1e-2)
+    d_mas, v_mas = closed_qre(maser(1.0, 0.7, 0.0, 6250.0, 1e-2))
+    d_opt, v_opt = closed_qre(optical(0.7, 6250.0, 1e-2))
     assert d_mas == pytest.approx(d_opt, rel=1e-14)
     assert v_mas == pytest.approx(v_opt, rel=1e-14)
 
 
 def test_qre_optical_properties():
-    d, v = qre_optical(6250.01, 6250.0, 1e-2)
+    d, v = closed_qre(optical(6250.01, 6250.0, 1e-2))
     g = math.log1p(1.0 / 6250.0)
     assert d == pytest.approx(62.5001 * g, rel=1e-13)
-    assert qre_optical(0.5, 6250.0, 0.0) == (0.0, 0.0)
+    assert closed_qre(optical(0.5, 6250.0, 0.0)) == (0.0, 0.0)
     # v/d is independent of the received energy
-    d2, v2 = qre_optical(1.0, 6250.0, 1e-4)
+    d2, v2 = closed_qre(optical(1.0, 6250.0, 1e-4))
     assert v / d == pytest.approx(v2 / d2, rel=1e-12)
     assert v / d == pytest.approx(12501.0 * g, rel=1e-12)
 
 
 def test_qcb_amp_exponent_monotone_in_noise():
     exponents = [
-        qcb_amp(AmpParams(0.5, n_a, 6250.0, 1e-2)).mean_exponent
+        closed_bound(amp(0.5, n_a, 6250.0, 1e-2)).mean_exponent
         for n_a in (0.0, 1.0, 100.0, 6250.0, 1e6, 5e8)
     ]
     assert all(a >= b for a, b in zip(exponents, exponents[1:]))
 
 
 def test_params_validation():
+    # Scenario is where closed-form inputs enter; it rejects what the
+    # per-source parameter classes used to
     with pytest.raises(ValueError):
-        AmpParams(-0.1, 1.0, 1.0, 0.5)
+        amp(-0.1, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        AmpParams(0.1, 1.0, 1.0, 1.5)
+        amp(0.1, 1.0, 1.0, 1.5)
     with pytest.raises(ValueError):
-        MaserParams(0.1, 0.0, 1.0, 1.0, 0.5)
+        maser(0.1, 0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        MaserParams(0.1, 1.2, 1.0, 1.0, 0.5)
-    params = AmpParams.from_gain(0.1, 1.0, 6250.0, 0.5)
-    assert params.n_a == 6250.5
+        maser(0.1, 1.2, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        AmpParams.from_gain(0.1, 0.8, 6250.0, 0.5)
+        amp(0.1, 1.0, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        maser(0.1, 0.5, -50.0, 1.0, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            amp(bad, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            amp(0.1, bad, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            amp(0.1, 1.0, bad, 0.5)
+        with pytest.raises(ValueError):
+            maser(0.1, 0.5, bad, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        amp(0.1, 1.0, 1.0, 0.5, copies=2.5)
+    assert amp(0.1, 1.0, 1.0, 0.5, copies=3).copies == 3
+    whole = amp(0.1, 1.0, 1.0, 0.5, copies=3.0)
+    assert whole.copies == 3 and isinstance(whole.copies, int)

@@ -87,6 +87,9 @@ def test_scenario_validation():
         build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=1.5, copies=1)
     with pytest.raises(ValueError):
         build_scenario(MASER, label="x", n_s=0.1, eta=0.1, copies=1)  # no fridge info
+    with pytest.raises(ValueError):
+        # an infinite temperature would reach Planck's law as 1 / expm1(0)
+        build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=0.1, copies=1, t_target=math.inf)
 
 
 def test_hypothesis_pair_zero_reflectivity_collapses():

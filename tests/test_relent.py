@@ -9,7 +9,6 @@ from qibench.relent import (
     gibbs_matrix,
     pmd_second_order,
     relative_entropy,
-    relative_entropy_variance,
     roc_asymmetric,
 )
 from test_chernoff import displaced_thermal_fock, displaced_thermal_state
@@ -85,25 +84,25 @@ def test_relative_entropy_against_fock_numerics(n0, a0, n1, a1):
 
 
 def test_relative_entropy_amp_pair_matches_closed_form():
-    from qibench.closed_forms import AmpParams, qre_amp
+    from qibench.closed_forms import qre_coherent
 
     n_s, n_a, n_b, eta = 1e-2, 6250.0, 6250.0, 1e-2
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_a + n_b, math.sqrt(eta * n_s))
     res = relative_entropy(rho0, rho1)
-    d_closed, v_closed = qre_amp(AmpParams(n_s, n_a, n_b, eta))
+    d_closed, v_closed = qre_coherent(n_s, n_a, n_b, eta)
     assert res.d == pytest.approx(d_closed, rel=1e-8)
     assert res.v == pytest.approx(v_closed, rel=1e-8)
 
 
 def test_relative_entropy_maser_pair_matches_closed_form():
-    from qibench.closed_forms import MaserParams, qre_maser
+    from qibench.closed_forms import qre_coherent
 
     n_s, phi, n_t, n_b, eta = 6042.0, 1.0, 207.866591170045, 6250.0, 1e-2
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_t + n_b, math.sqrt(eta * phi * n_s))
-    res = relative_entropy_variance(rho0, rho1)
-    d_closed, v_closed = qre_maser(MaserParams(n_s, phi, n_t, n_b, eta))
+    res = relative_entropy(rho0, rho1)
+    d_closed, v_closed = qre_coherent(phi * n_s, n_t, n_b, eta)
     assert res.d == pytest.approx(d_closed, rel=1e-8)
     assert res.v == pytest.approx(v_closed, rel=1e-8)
 

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-import qibench.validation as validation
+import qibench.closed_forms as closed_forms
 from qibench.chernoff import BoundResult
+from qibench.closed_forms import closed_bound, closed_qre
 from qibench.validation import (
     benchmark_combos,
     check_qcb_equivalence,
     check_qre_equivalence,
-    closed_bound,
 )
 
 
@@ -36,10 +36,10 @@ def test_empty_grid_rejected():
 
 def test_fault_injection_is_caught(monkeypatch):
     # a perturbed closed form must be flagged by the equivalence suite
-    real = validation.cf.qcb_amp
+    real = closed_forms.qcb_coherent
 
-    def perturbed(params):
-        bound = real(params)
+    def perturbed(*args):
+        bound = real(*args)
         return BoundResult(
             value=bound.value,
             per_mode_overlap=bound.per_mode_overlap,
@@ -49,7 +49,7 @@ def test_fault_injection_is_caught(monkeypatch):
             mean_exponent=bound.mean_exponent * (1.0 + 1e-4),
         )
 
-    monkeypatch.setattr(validation.cf, "qcb_amp", perturbed)
+    monkeypatch.setattr(closed_forms, "qcb_coherent", perturbed)
     result = check_qcb_equivalence(benchmark_combos(quick=True))
     assert not result.passed
     assert result.metric == pytest.approx(1e-4, rel=1e-2)
@@ -73,7 +73,6 @@ def test_maser_10k_roc_tracks_optical_in_log_pmd():
     # coincidence of the published curves is a log-domain statement
     from qibench.protocols import figure_grid
     from qibench.special import normal_quantile
-    from qibench.validation import closed_qre
 
     scenarios = {s.label: s for s in figure_grid("fig3_upper")}
     d_mas, v_mas = closed_qre(scenarios["mas_10K"])
