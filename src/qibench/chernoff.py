@@ -12,6 +12,14 @@ conjugated by the symplectic factors, and d the mean difference. The
 exponent carries no extra factor 1/2 in this convention; the expression is
 validated against pure-state overlaps, thermal-state spectral sums and
 Fock-space numerics in the test suite.
+
+The work is split in two steps. Preparing a pair (``_prepare``) runs the two
+Williamson decompositions, the physicality check and the pure-mode clamp and
+forms d; none of it depends on s. Evaluating at one s (``_evaluate``) builds
+Pi_s and Sigma_s from the prepared symplectic eigenvalues and factors and
+solves with the Cholesky factor of Sigma_s. ``s_overlap`` and ``qbb`` prepare
+and evaluate once; ``qcb`` prepares once and evaluates at every s of its
+search.
 """
 
 from __future__ import annotations
@@ -67,8 +75,8 @@ class BoundResult:
 
     @property
     def per_mode_exponent(self) -> float:
-        """-ln of the per-mode overlap."""
-        return -math.log(self.per_mode_overlap)
+        """-ln of the per-mode overlap (+0.0, not -0.0, at overlap 1)."""
+        return 0.0 - math.log(self.per_mode_overlap)
 
 
 def _atanh_u(nu: np.ndarray) -> np.ndarray:
@@ -85,6 +93,74 @@ def _ln_g_minus(nu: np.ndarray, s: float) -> np.ndarray:
     return s * np.log(nu + 0.5) + np.log(-np.expm1(-2.0 * s * _atanh_u(nu)))
 
 
+@dataclass(frozen=True)
+class _PreparedPair:
+    """The s-independent part of the s-overlap of one pair of states."""
+
+    modes: int
+    nu0: np.ndarray
+    nu1: np.ndarray
+    sym0: np.ndarray
+    sym1: np.ndarray
+    d: np.ndarray
+    clamped: bool
+
+
+def _prepare(
+    rho0: GaussianState, rho1: GaussianState, tol: Tolerances = DEFAULT_TOL
+) -> _PreparedPair:
+    """Williamson forms, pure-mode clamp and mean difference of a pair."""
+    if rho0.modes != rho1.modes:
+        raise ValueError("states must have the same number of modes")
+    w0 = williamson(rho0.cov, tol)
+    w1 = williamson(rho1.cov, tol)
+    if not (w0.physical and w1.physical):
+        raise ValueError("s_overlap requires physical states")
+    return _PreparedPair(
+        modes=rho0.modes,
+        nu0=np.maximum(w0.nus, _NU_CLAMP),
+        nu1=np.maximum(w1.nus, _NU_CLAMP),
+        sym0=w0.S,
+        sym1=w1.S,
+        d=rho0.mean - rho1.mean,
+        clamped=bool(w0.nus.min() < _NU_CLAMP or w1.nus.min() < _NU_CLAMP),
+    )
+
+
+def _evaluate(pair: _PreparedPair, s: float) -> OverlapResult:
+    """The s-overlap of a prepared pair at one s."""
+    if s < -1e-12 or s > 1.0 + 1e-12:
+        raise ValueError("s must lie in [0, 1]")
+    s_eff = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
+    nu0, nu1 = pair.nu0, pair.nu1
+
+    ln_det_pi = -2.0 * (np.sum(_ln_g_minus(nu0, s_eff)) + np.sum(_ln_g_minus(nu1, 1.0 - s_eff)))
+    lam0 = np.repeat(_lambda_s(nu0, s_eff), 2)
+    lam1 = np.repeat(_lambda_s(nu1, 1.0 - s_eff), 2)
+    sigma = (pair.sym0 * lam0[None, :]) @ pair.sym0.T + (pair.sym1 * lam1[None, :]) @ pair.sym1.T
+    sigma = 0.5 * (sigma + sigma.T)
+
+    try:
+        cho = sla.cho_factor(sigma, lower=True)
+    except sla.LinAlgError as exc:
+        raise NumericError(f"Sigma_s is not positive definite at s={s_eff}: {exc}") from exc
+    ln_det_sigma = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+    d = pair.d
+    mean_exponent = float(d @ sla.cho_solve(cho, d))
+    ln_pre = pair.modes * math.log(2.0) + 0.5 * (ln_det_pi - ln_det_sigma)
+    prefactor = math.exp(ln_pre)
+    return OverlapResult(
+        c_s=math.exp(ln_pre - mean_exponent),
+        s=s,
+        prefactor=prefactor,
+        mean_exponent=mean_exponent,
+        pi_det=math.exp(ln_det_pi),
+        sigma=sigma,
+        clamped=pair.clamped,
+    )
+
+
 def s_overlap(
     rho0: GaussianState, rho1: GaussianState, s: float, tol: Tolerances = DEFAULT_TOL
 ) -> OverlapResult:
@@ -94,54 +170,16 @@ def s_overlap(
     at the interior point 1e-9 away. Pure modes (nu = 1/2) are clamped to
     1/2 + 1e-12 and flagged.
     """
-    if rho0.modes != rho1.modes:
-        raise ValueError("states must have the same number of modes")
-    if s < -1e-12 or s > 1.0 + 1e-12:
-        raise ValueError("s must lie in [0, 1]")
-    s_eff = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
-    n = rho0.modes
-
-    w0 = williamson(rho0.cov, tol)
-    w1 = williamson(rho1.cov, tol)
-    if not (w0.physical and w1.physical):
-        raise ValueError("s_overlap requires physical states")
-    clamped = bool(w0.nus.min() < _NU_CLAMP or w1.nus.min() < _NU_CLAMP)
-    nu0 = np.maximum(w0.nus, _NU_CLAMP)
-    nu1 = np.maximum(w1.nus, _NU_CLAMP)
-
-    ln_det_pi = -2.0 * (np.sum(_ln_g_minus(nu0, s_eff)) + np.sum(_ln_g_minus(nu1, 1.0 - s_eff)))
-    lam0 = np.repeat(_lambda_s(nu0, s_eff), 2)
-    lam1 = np.repeat(_lambda_s(nu1, 1.0 - s_eff), 2)
-    sigma = (w0.S * lam0[None, :]) @ w0.S.T + (w1.S * lam1[None, :]) @ w1.S.T
-    sigma = 0.5 * (sigma + sigma.T)
-
-    try:
-        cho = sla.cho_factor(sigma, lower=True)
-    except sla.LinAlgError as exc:
-        raise NumericError(f"Sigma_s is not positive definite at s={s_eff}: {exc}") from exc
-    ln_det_sigma = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-
-    d = rho0.mean - rho1.mean
-    mean_exponent = float(d @ sla.cho_solve(cho, d))
-    ln_pre = n * math.log(2.0) + 0.5 * (ln_det_pi - ln_det_sigma)
-    prefactor = math.exp(ln_pre)
-    return OverlapResult(
-        c_s=math.exp(ln_pre - mean_exponent),
-        s=s,
-        prefactor=prefactor,
-        mean_exponent=mean_exponent,
-        pi_det=math.exp(ln_det_pi),
-        sigma=sigma,
-        clamped=clamped,
-    )
+    return _evaluate(_prepare(rho0, rho1, tol), s)
 
 
 def _bound_from_overlap(res: OverlapResult, copies: int) -> BoundResult:
-    ln_c = math.log(res.prefactor) - res.mean_exponent
+    # C_s <= 1 for any two states (Hoelder), so a positive ln C is rounding
+    ln_c = min(math.log(res.prefactor) - res.mean_exponent, 0.0)
     value = math.exp(math.log(0.5) + copies * ln_c) if ln_c * copies > -745.0 else 0.0
     return BoundResult(
         value=value,
-        per_mode_overlap=res.c_s,
+        per_mode_overlap=min(res.c_s, 1.0),
         s_star=res.s,
         copies=copies,
         prefactor=res.prefactor,
@@ -169,18 +207,25 @@ def qcb(
     ln C_s is minimized over s in [1e-9, 1 - 1e-9] by golden-section search
     (assuming unimodality) followed by a few parabolic refinement steps;
     convergence once the bracket is below s_tol or the exponent stops
-    changing by more than 1e-13.
+    changing by more than 1e-13. The pair is decomposed once and every step
+    of the search evaluates C_s on that prepared pair. The s = 1/2 overlap
+    is evaluated too and returned when it is lower than the search's best,
+    so the result never exceeds :func:`qbb`'s.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
+    pair = _prepare(rho0, rho1)
     cache: dict[float, OverlapResult] = {}
 
-    def ln_c(s: float) -> float:
+    def overlap(s: float) -> OverlapResult:
         res = cache.get(s)
         if res is None:
-            res = s_overlap(rho0, rho1, s)
-            cache[s] = res
+            res = cache[s] = _evaluate(pair, s)
+        return res
+
+    def ln_c(s: float) -> float:
+        res = overlap(s)
         return math.log(res.prefactor) - res.mean_exponent
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -228,8 +273,9 @@ def qcb(
             break
     best_s = mid
 
-    if ln_c(best_s) > math.log1p(-1e-12):
-        # indistinguishable hypotheses: C = 1 for every s, report s* = 1/2
+    # indistinguishable hypotheses (C = 1 for every s) report s* = 1/2, and
+    # so does a search that ended a rounding error above the s = 1/2 overlap:
+    # the result never exceeds qbb's
+    if ln_c(best_s) > math.log1p(-1e-12) or overlap(0.5).c_s < overlap(best_s).c_s:
         best_s = 0.5
-    res = cache.get(best_s) or s_overlap(rho0, rho1, best_s)
-    return _bound_from_overlap(res, copies)
+    return _bound_from_overlap(overlap(best_s), copies)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from qibench import chernoff
 from qibench.chernoff import qbb, qcb, s_overlap
-from qibench.gaussian import GaussianState, make_coherent, make_thermal
+from qibench.gaussian import GaussianState, make_coherent, make_thermal, williamson
+from qibench.protocols import build_scenario, hypothesis_pair
 
 
 def thermal_overlap(n0, n1, s):
@@ -188,3 +190,54 @@ def test_amp_pair_exponent_matches_closed_form():
     closed = qcb_coherent(n_s, n_a, n_b, eta)
     assert closed.mean_exponent == pytest.approx(oracle.mean_exponent, rel=1e-8)
     assert closed.prefactor == pytest.approx(oracle.prefactor, rel=1e-10)
+
+
+def test_qcb_not_above_qbb_exactly():
+    # a flat optical minimum where the search's best lands 4e-16 above the
+    # s = 1/2 overlap
+    scenario = build_scenario(
+        "optical",
+        energy_matched=False,
+        label="t",
+        n_s=0.6553847824965731,
+        eta=0.00032568221565784346,
+        n_b=14.58113862094628,
+        copies=6139,
+    )
+    pair = hypothesis_pair(scenario)
+    chernoff = qcb(pair.rho0, pair.rho1, scenario.copies)
+    bhattacharyya = qbb(pair.rho0, pair.rho1, scenario.copies)
+    assert chernoff.per_mode_overlap <= bhattacharyya.per_mode_overlap
+    assert chernoff.value <= bhattacharyya.value
+
+
+@pytest.mark.parametrize("bound", [qbb, qcb])
+def test_overlap_of_identical_states_capped_at_one(bound):
+    # C_s <= 1 for any two states; rounding puts the raw overlap at 1 + 4e-16
+    state = make_thermal(1.0)
+    result = bound(state, state, 3)
+    assert result.per_mode_overlap == 1.0
+    assert math.copysign(1.0, result.per_mode_exponent) == 1.0
+    assert result.value == 0.5
+
+
+@pytest.mark.parametrize("call", [qcb, qbb, lambda rho0, rho1: s_overlap(rho0, rho1, 0.3)])
+def test_each_state_decomposed_once(monkeypatch, call):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return williamson(*args, **kwargs)
+
+    monkeypatch.setattr(chernoff, "williamson", counting)
+    call(displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8))
+    assert len(calls) == 2
+
+
+def test_bounds_use_the_single_evaluator():
+    rho0 = displaced_thermal_state(1.2, 0.0)
+    rho1 = displaced_thermal_state(2.9, 0.8)
+    minimized = qcb(rho0, rho1, 4)
+    assert minimized.s_star != 0.5
+    assert minimized.per_mode_overlap == s_overlap(rho0, rho1, minimized.s_star).c_s
+    assert qbb(rho0, rho1, 4).per_mode_overlap == s_overlap(rho0, rho1, 0.5).c_s
