@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from ._lazy import lazy_module
 from .gaussian import DEFAULT_TOL, GaussianState, NumericError, Tolerances, williamson
+
+sla = lazy_module("scipy.linalg")
 
 _S_EDGE = 1e-9
 _NU_CLAMP = 0.5 + 1e-12
@@ -58,11 +60,14 @@ class OverlapResult:
 class BoundResult:
     """Discrimination error bound (1/2) * C^M with the evaluation point s.
 
-    For oracle results value = (1/2) * per_mode_overlap**copies exactly.
-    Closed-form results produced by :mod:`qibench.closed_forms` keep the
-    printed single prefactor, value = (1/2) * prefactor * exp(-copies *
-    mean_exponent). clamped flags a pure-mode regularization in the
-    underlying overlap.
+    For oracle results value = (1/2) * exp(copies * min(ln prefactor -
+    mean_exponent, 0)), and 0 when that exponent is at or below -745.
+    per_mode_overlap is min(c_s, 1) of the overlap, formed separately, so
+    (1/2) * per_mode_overlap**copies matches value only up to rounding
+    amplified by copies (seen up to ~1e-8 relative). Closed-form results
+    produced by :mod:`qibench.closed_forms` keep the printed single
+    prefactor, value = (1/2) * prefactor * exp(-copies * mean_exponent).
+    clamped flags a pure-mode regularization in the underlying overlap.
     """
 
     value: float

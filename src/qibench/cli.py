@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -116,6 +117,8 @@ def _grid(args: argparse.Namespace, default: np.ndarray) -> np.ndarray:
     lo = args.grid_min if args.grid_min is not None else float(default[0])
     hi = args.grid_max if args.grid_max is not None else float(default[-1])
     points = args.grid_points if args.grid_points is not None else len(default)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got min={lo} max={hi}")
     if not 0 < lo < hi or points < 2:
         raise ValueError("grid must satisfy 0 < min < max with at least 2 points")
     return np.geomspace(lo, hi, points)
@@ -184,6 +187,8 @@ def _figure_payload(figure_id: str, args: argparse.Namespace) -> tuple[str, list
     scenarios = figure_grid(figure_id)
     if figure_id.startswith("fig2"):
         sweep = _grid(args, DEFAULT_COPIES_SWEEP)
+        if sweep[-1] >= 2.0**63:
+            raise ValueError(f"copies grid maximum {sweep[-1]:g} exceeds the int64 range")
         copies = np.unique(np.round(sweep).astype(int))
         copies = copies[copies >= 1]
         rows = []

@@ -11,7 +11,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
+
+from ._lazy import lazy_module
+
+sla = lazy_module("scipy.linalg")
 
 
 class NumericError(RuntimeError):

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
+from ._lazy import lazy_module
 from .gaussian import (
     DEFAULT_TOL,
     GaussianState,
@@ -32,6 +32,8 @@ from .gaussian import (
     williamson,
 )
 from .special import normal_quantile
+
+mp = lazy_module("mpmath")
 
 _PURE_NU_TOL = 1e-10
 _NEGATIVE_CLAMP = -1e-12

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 
-import scipy.special as sp
+from ._lazy import lazy_module
+
+sp = lazy_module("scipy.special")
 
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
@@ -20,12 +22,20 @@ def erfc(x: float) -> float:
 
 
 def erfc_inv(y: float) -> float:
-    """Inverse of erfc on (0, 2), Newton-refined to round-trip accuracy 1e-12."""
+    """Inverse of erfc on (0, 2), Newton-refined to round-trip accuracy 1e-12.
+
+    Below y ~ 1.2e-310, where erfc(x) underflows to 0, scipy's seed is
+    returned unrefined (inf at the smallest subnormal).
+    """
     if not 0.0 < y < 2.0:
         raise ValueError("erfc_inv is defined on the open interval (0, 2)")
     x = float(sp.erfcinv(y))
     for _ in range(3):
-        residual = float(sp.erfc(x)) - y
+        value = float(sp.erfc(x))
+        if value == 0.0:
+            # erfc underflows exactly where exp(x*x) in the step overflows
+            break
+        residual = value - y
         if residual == 0.0:
             break
         # d/dx erfc(x) = -2/sqrt(pi) exp(-x^2)

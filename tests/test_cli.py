@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,52 @@ def test_bound_rejects_fractional_copies(tmp_path, capsys):
     for method in ("closed", "oracle"):
         assert main(["bound", "--scenario", path, "--method", method]) == 2
         assert "whole number" in capsys.readouterr().err
+
+
+def test_figure_homodyne_subnormal_grid(tmp_path, capsys):
+    assert main(["figure", "fig4_upper", "--grid-min", "1e-320", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("bound", ["--grid-min", "--grid-max"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_figure_rejects_non_finite_grid(bound, value, tmp_path, capsys):
+    assert main(["figure", "fig2_upper", bound, value, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_figure_rejects_copies_beyond_int64(tmp_path, capsys):
+    assert main(["figure", "fig2_upper", "--grid-max", "1e300", "--out", str(tmp_path)]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
+IMPORT_SURFACE = """
+import json, sys
+HEAVY = ("scipy.linalg._flapack", "scipy.special._ufuncs", "mpmath.libmp")
+seen = {}
+import qibench.cli
+seen["import"] = [m for m in HEAVY if m in sys.modules]
+qibench.cli.main(["figure", "fig2_upper", "--out", sys.argv[1]])
+seen["fig2_upper"] = [m for m in HEAVY if m in sys.modules]
+qibench.cli.main(["figure", "fig4_upper", "--out", sys.argv[1]])
+seen["fig4_upper"] = [m for m in HEAVY if m in sys.modules]
+from qibench import figure_grid, hypothesis_pair, qbb
+pair = hypothesis_pair(figure_grid("fig2_upper")[0])
+qbb(pair.rho0, pair.rho1, 10)
+seen["qbb"] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_heavy_dependencies_load_on_first_use(tmp_path):
+    # a fresh interpreter: this test process has long since imported scipy and mpmath
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SURFACE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["fig2_upper"] == []
+    assert seen["fig4_upper"] == ["scipy.special._ufuncs"]
+    assert seen["qbb"] == ["scipy.linalg._flapack", "scipy.special._ufuncs"]

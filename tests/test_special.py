@@ -61,3 +61,14 @@ def test_normal_quantile_against_ndtri():
         normal_quantile(0.0)
     with pytest.raises(ValueError):
         normal_quantile(1.0)
+
+
+def test_erfc_inv_where_erfc_underflows():
+    # erfc underflows to 0 below y ~ 1.2e-310; the Newton step would overflow there
+    ys = {float(y) for y in np.geomspace(1e-290, 1e-323, 200)} | {1e-315, 2e-320, 5e-324}
+    ys = sorted(ys, reverse=True)
+    xs = [erfc_inv(y) for y in ys]
+    assert not any(math.isnan(x) for x in xs)
+    assert all(b >= a for a, b in zip(xs, xs[1:]))
+    assert erfc_inv(1e-315) > 26.6
+    assert math.isfinite(normal_quantile(1e-320))
