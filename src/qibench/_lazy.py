@@ -1,4 +1,4 @@
-"""Deferred imports for the heavy dependencies (scipy.linalg, scipy.special, mpmath).
+"""Deferred imports for the heavy dependencies (scipy.special, mpmath).
 
 Most commands never reach the code that needs them, so a module-level
 ``lazy_module`` stands in for ``import``: the real import runs on the first

@@ -17,9 +17,10 @@ The work is split in two steps. Preparing a pair (``_prepare``) runs the two
 Williamson decompositions, the physicality check and the pure-mode clamp and
 forms d; none of it depends on s. Evaluating at one s (``_evaluate``) builds
 Pi_s and Sigma_s from the prepared symplectic eigenvalues and factors and
-solves with the Cholesky factor of Sigma_s. ``s_overlap`` and ``qbb`` prepare
-and evaluate once; ``qcb`` prepares once and evaluates at every s of its
-search.
+factors Sigma_s = L L^T with numpy's Cholesky: ln det Sigma_s comes from the
+diagonal of L and the displacement term is |L^{-1} d|^2. ``s_overlap`` and
+``qbb`` prepare and evaluate once; ``qcb`` prepares once and evaluates at
+every s of its search.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lazy import lazy_module
 from .gaussian import DEFAULT_TOL, GaussianState, NumericError, Tolerances, williamson
-
-sla = lazy_module("scipy.linalg")
 
 _S_EDGE = 1e-9
 _NU_CLAMP = 0.5 + 1e-12
@@ -51,8 +49,6 @@ class OverlapResult:
     s: float
     prefactor: float
     mean_exponent: float
-    pi_det: float
-    sigma: np.ndarray
     clamped: bool
 
 
@@ -146,13 +142,13 @@ def _evaluate(pair: _PreparedPair, s: float) -> OverlapResult:
     sigma = 0.5 * (sigma + sigma.T)
 
     try:
-        cho = sla.cho_factor(sigma, lower=True)
-    except sla.LinAlgError as exc:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"Sigma_s is not positive definite at s={s_eff}: {exc}") from exc
-    ln_det_sigma = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    ln_det_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
 
-    d = pair.d
-    mean_exponent = float(d @ sla.cho_solve(cho, d))
+    y = np.linalg.solve(chol, pair.d)
+    mean_exponent = float(y @ y)
     ln_pre = pair.modes * math.log(2.0) + 0.5 * (ln_det_pi - ln_det_sigma)
     prefactor = math.exp(ln_pre)
     return OverlapResult(
@@ -160,8 +156,6 @@ def _evaluate(pair: _PreparedPair, s: float) -> OverlapResult:
         s=s,
         prefactor=prefactor,
         mean_exponent=mean_exponent,
-        pi_det=math.exp(ln_det_pi),
-        sigma=sigma,
         clamped=pair.clamped,
     )
 

@@ -12,10 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lazy import lazy_module
-
-sla = lazy_module("scipy.linalg")
-
 
 class NumericError(RuntimeError):
     """A numerical procedure failed (factorization, convergence, ...)."""
@@ -27,7 +23,6 @@ class Tolerances:
 
     symmetry: float = 1e-12
     physicality: float = 1e-10
-    reconstruction: float = 1e-10
 
 
 DEFAULT_TOL = Tolerances()
@@ -96,32 +91,13 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.nus, 2))
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, sorted descending.
+def _hermitian_form(
+    cov: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V^(1/2), symplectic spectrum and eigenvectors of H = V^(1/2) (i Omega) V^(1/2).
 
-    Computed from the moduli of the eigenvalues of i * Omega @ V; does not
-    require V to be physical (values below 1/2 indicate unphysicality).
-    """
-    cov = np.asarray(cov, dtype=float)
-    modes = cov.shape[0] // 2
-    eigs = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(modes) @ cov)))[::-1]
-    return eigs[::2].real.copy()
-
-
-def is_physical(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> PhysicalityCheck:
-    """Check the uncertainty relation V + i*Omega/2 >= 0 via symplectic eigenvalues."""
-    nu_min = float(symplectic_eigenvalues(state.cov).min())
-    return PhysicalityCheck(nu_min >= 0.5 - tol.physicality, nu_min)
-
-
-def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive-definite matrix.
-
-    Diagonalizes V^(-1/2) Omega V^(-1/2) by a real Schur decomposition and
-    assembles S from the paired Schur vectors. Blocks are sorted by
-    descending symplectic eigenvalue, and each (q, p) column pair is rotated
-    so its first significant q entry is positive with vanishing p partner,
-    which makes the output deterministic.
+    H is Hermitian with eigenvalues +-nu_k. The top N eigenpairs are returned
+    in descending order of nu; the -nu_k partners are their complex conjugates.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -135,34 +111,49 @@ def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDeco
     if w.min() <= 0.0:
         raise ValueError(f"cov is not positive definite (min eigenvalue {w.min():.3e})")
     sqrt_cov = (U * np.sqrt(w)) @ U.T
-    inv_sqrt_cov = (U / np.sqrt(w)) @ U.T
+    nus, vecs = np.linalg.eigh(sqrt_cov @ (1j * symplectic_form(modes)) @ sqrt_cov)
+    return sqrt_cov, nus[::-1][:modes], vecs[:, ::-1][:, :modes]
 
-    omega = symplectic_form(modes)
-    skew = inv_sqrt_cov @ omega @ inv_sqrt_cov
+
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a positive-definite covariance, sorted descending.
+
+    The same eigendecomposition as :func:`williamson`, so the two agree
+    exactly. Values below 1/2 indicate an unphysical V; a V that is not
+    positive definite has no symplectic spectrum and raises ValueError.
+    """
+    return _hermitian_form(cov)[1]
+
+
+def is_physical(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> PhysicalityCheck:
+    """Check the uncertainty relation V + i*Omega/2 >= 0 via symplectic eigenvalues.
+
+    A covariance that is not positive definite is unphysical, reported with
+    nu_min = nan since it has no symplectic spectrum.
+    """
     try:
-        T, Q = sla.schur(skew, output="real")
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"Schur decomposition failed: {exc}") from exc
+        nu_min = float(_hermitian_form(state.cov, tol)[1][-1])
+    except ValueError:  # shape was checked when the state was built
+        return PhysicalityCheck(False, math.nan)
+    return PhysicalityCheck(nu_min >= 0.5 - tol.physicality, nu_min)
 
-    kappas = np.empty(modes)
-    for k in range(modes):
-        kappa = T[2 * k, 2 * k + 1]
-        if kappa < 0.0:
-            Q[:, [2 * k, 2 * k + 1]] = Q[:, [2 * k + 1, 2 * k]]
-            kappa = -kappa
-        if kappa == 0.0:
-            raise NumericError("degenerate symplectic structure (zero Schur block)")
-        kappas[k] = kappa
-    nus = 1.0 / kappas
 
-    order = np.argsort(-nus)
-    nus = nus[order]
-    cols = np.empty_like(Q)
-    for j, k in enumerate(order):
-        cols[:, 2 * j] = Q[:, 2 * k]
-        cols[:, 2 * j + 1] = Q[:, 2 * k + 1]
+def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
+    """Williamson normal form of a symmetric positive-definite matrix.
 
-    S = sqrt_cov @ cols / np.repeat(np.sqrt(nus), 2)[None, :]
+    Each eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
+    nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
+    sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
+    sorted by descending symplectic eigenvalue, and each is rotated so its
+    first significant q entry is positive with vanishing p partner, which
+    makes the output deterministic.
+    """
+    sqrt_cov, nus, vecs = _hermitian_form(cov, tol)
+    modes = nus.size
+    cols = np.empty((2 * modes, 2 * modes))
+    cols[:, 0::2] = vecs.imag
+    cols[:, 1::2] = vecs.real
+    S = sqrt_cov @ (math.sqrt(2.0) * cols) / np.repeat(np.sqrt(nus), 2)[None, :]
 
     # canonical in-block rotation: first significant row -> (positive, 0)
     for j in range(modes):
@@ -175,7 +166,7 @@ def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDeco
         S[:, 2 * j] = c * u + s * v
         S[:, 2 * j + 1] = -s * u + c * v
 
-    physical = bool(nus.min() >= 0.5 - tol.physicality)
+    physical = bool(nus[-1] >= 0.5 - tol.physicality)
     return WilliamsonDecomposition(S=S, nus=nus, physical=physical)
 
 

@@ -58,10 +58,6 @@ class RocCurve:
     copies: int
     meta: dict = field(default_factory=dict)
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.p_fa.tolist(), self.p_md.tolist()))
-
     def is_monotone(self) -> bool:
         return bool(np.all(np.diff(self.p_fa) > 0) and np.all(np.diff(self.p_md) <= 1e-15))
 

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from qibench import chernoff
 from qibench.chernoff import qbb, qcb, s_overlap
-from qibench.gaussian import GaussianState, make_coherent, make_thermal, williamson
+from qibench.gaussian import GaussianState, NumericError, make_coherent, make_thermal, williamson
 from qibench.protocols import build_scenario, hypothesis_pair
 
 
@@ -232,6 +232,15 @@ def test_each_state_decomposed_once(monkeypatch, call):
     monkeypatch.setattr(chernoff, "williamson", counting)
     call(displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8))
     assert len(calls) == 2
+
+
+def test_factorization_failure_is_a_numeric_error(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    with pytest.raises(NumericError, match="Sigma_s is not positive definite"):
+        s_overlap(make_thermal(1.0), make_thermal(2.0), 0.3)
 
 
 def test_bounds_use_the_single_evaluator():

@@ -243,4 +243,4 @@ def test_heavy_dependencies_load_on_first_use(tmp_path):
     assert seen["import"] == []
     assert seen["fig2_upper"] == []
     assert seen["fig4_upper"] == ["scipy.special._ufuncs"]
-    assert seen["qbb"] == ["scipy.linalg._flapack", "scipy.special._ufuncs"]
+    assert seen["qbb"] == ["scipy.special._ufuncs"]

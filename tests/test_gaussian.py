@@ -189,10 +189,48 @@ def test_is_physical():
     assert not ok and nu_min == pytest.approx(0.25)
     ok, nu_min = is_physical(make_thermal(6250.0))
     assert ok and nu_min == pytest.approx(6250.5)
+    # an indefinite covariance has no symplectic spectrum: unphysical, not |eigenvalue|
+    for cov in (np.diag([1.0, -0.5]), -np.eye(2)):
+        ok, nu_min = is_physical(GaussianState(1, np.zeros(2), cov))
+        assert not ok and math.isnan(nu_min)
+        with pytest.raises(ValueError, match="positive definite"):
+            symplectic_eigenvalues(cov)
 
 
 def test_symplectic_eigenvalues_multimode(rng, random_cov):
     cov = random_cov(rng, 3)
     nus = symplectic_eigenvalues(cov)
     dec = williamson(cov)
-    assert nus == pytest.approx(dec.nus, rel=1e-10)
+    assert np.array_equal(nus, dec.nus)
+
+
+def _tmsv_cov(n_idler, n_return, corr):
+    z = np.diag([1.0, -1.0])
+    return np.block([[n_return * np.eye(2), corr * z], [corr * z, n_idler * np.eye(2)]])
+
+
+_N_S, _ETA, _N_B = 1e-2, 1e-3, 6250.0
+
+
+@pytest.mark.parametrize(
+    "cov",
+    [
+        2.5 * np.eye(6),
+        6250.5 * np.eye(4),
+        _tmsv_cov(_N_S + 0.5, _N_S + 0.5, math.sqrt(_N_S * (_N_S + 1.0))),
+        np.diag([_N_B + 0.5, _N_B + 0.5, _N_S + 0.5, _N_S + 0.5]),
+        _tmsv_cov(_N_S + 0.5, _ETA * _N_S + _N_B + 0.5, math.sqrt(_ETA * _N_S * (_N_S + 1.0))),
+        0.5 * np.diag([math.exp(8.0), math.exp(-8.0)]),
+    ],
+    ids=["thermal_3mode", "thermal_nb6250_2mode", "tmsv_pure", "tmsv_return_h0", "tmsv_return_h1", "squeezed_r8"],
+)
+def test_williamson_degenerate_and_extreme_spectra(cov):
+    # degenerate eigenspaces of V^(1/2) (i Omega) V^(1/2) and extreme squeezing
+    modes = cov.shape[0] // 2
+    dec = williamson(cov)
+    omega = symplectic_form(modes)
+    recon = np.linalg.norm(dec.S @ dec.diagonal_form() @ dec.S.T - cov) / np.linalg.norm(cov)
+    assert recon <= 1e-10
+    assert np.abs(dec.S @ omega @ dec.S.T - omega).max() <= 1e-10
+    assert np.array_equal(symplectic_eigenvalues(cov), dec.nus)
+    assert np.all(np.diff(dec.nus) <= 0.0)
