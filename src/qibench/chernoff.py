@@ -16,7 +16,7 @@ Fock-space numerics in the test suite.
 The work is split in two steps. Preparing a pair (``_prepare``) runs the two
 Williamson decompositions, the physicality check and the pure-mode clamp and
 forms d; none of it depends on s. Evaluating at one s (``_evaluate``) builds
-Pi_s and Sigma_s from the prepared symplectic eigenvalues and factors and
+Pi_s and Sigma_s from the prepared symplectic eigenvalues and matrices, then
 factors Sigma_s = L L^T with numpy's Cholesky: ln det Sigma_s comes from the
 diagonal of L and the displacement term is |L^{-1} d|^2. ``s_overlap`` and
 ``qbb`` prepare and evaluate once; ``qcb`` prepares once and evaluates at
@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import DEFAULT_TOL, GaussianState, NumericError, Tolerances, williamson
+from .gaussian import GaussianState, NumericError, williamson
 
 _S_EDGE = 1e-9
 _NU_CLAMP = 0.5 + 1e-12
+_S_TOL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass
@@ -107,14 +109,12 @@ class _PreparedPair:
     clamped: bool
 
 
-def _prepare(
-    rho0: GaussianState, rho1: GaussianState, tol: Tolerances = DEFAULT_TOL
-) -> _PreparedPair:
+def _prepare(rho0: GaussianState, rho1: GaussianState) -> _PreparedPair:
     """Williamson forms, pure-mode clamp and mean difference of a pair."""
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
-    w0 = williamson(rho0.cov, tol)
-    w1 = williamson(rho1.cov, tol)
+    w0 = williamson(rho0.cov)
+    w1 = williamson(rho1.cov)
     if not (w0.physical and w1.physical):
         raise ValueError("s_overlap requires physical states")
     return _PreparedPair(
@@ -160,16 +160,14 @@ def _evaluate(pair: _PreparedPair, s: float) -> OverlapResult:
     )
 
 
-def s_overlap(
-    rho0: GaussianState, rho1: GaussianState, s: float, tol: Tolerances = DEFAULT_TOL
-) -> OverlapResult:
+def s_overlap(rho0: GaussianState, rho1: GaussianState, s: float) -> OverlapResult:
     """s-overlap Tr(rho0^s rho1^(1-s)) of two Gaussian states.
 
     s must lie in (0, 1); values within 1e-12 of an endpoint are evaluated
     at the interior point 1e-9 away. Pure modes (nu = 1/2) are clamped to
     1/2 + 1e-12 and flagged.
     """
-    return _evaluate(_prepare(rho0, rho1, tol), s)
+    return _evaluate(_prepare(rho0, rho1), s)
 
 
 def _bound_from_overlap(res: OverlapResult, copies: int) -> BoundResult:
@@ -194,22 +192,17 @@ def qbb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     return _bound_from_overlap(s_overlap(rho0, rho1, 0.5), copies)
 
 
-def qcb(
-    rho0: GaussianState,
-    rho1: GaussianState,
-    copies: int = 1,
-    s_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> BoundResult:
+def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResult:
     """Quantum Chernoff bound (1/2) (inf_s C_s)^M.
 
     ln C_s is minimized over s in [1e-9, 1 - 1e-9] by golden-section search
     (assuming unimodality) followed by a few parabolic refinement steps;
-    convergence once the bracket is below s_tol or the exponent stops
-    changing by more than 1e-13. The pair is decomposed once and every step
-    of the search evaluates C_s on that prepared pair. The s = 1/2 overlap
-    is evaluated too and returned when it is lower than the search's best,
-    so the result never exceeds :func:`qbb`'s.
+    the search stops once the bracket is below a fixed 1e-10, after 200
+    steps, or once the exponent stops changing by more than 1e-13. The pair
+    is decomposed once and every step of the search evaluates C_s on that
+    prepared pair. The s = 1/2 overlap is evaluated too and returned when it
+    is lower than the search's best, so the result never exceeds
+    :func:`qbb`'s.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -233,7 +226,7 @@ def qcb(
     d = a + inv_phi * (b - a)
     fc, fd = ln_c(c), ln_c(d)
     iterations = 0
-    while (b - a) > s_tol and iterations < max_iter:
+    while (b - a) > _S_TOL and iterations < _MAX_ITER:
         iterations += 1
         if fc < fd:
             b, d, fd = d, c, fc

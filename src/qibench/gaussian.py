@@ -7,7 +7,7 @@ so a thermal state with n photons per mode has covariance (n + 1/2) * I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -17,15 +17,9 @@ class NumericError(RuntimeError):
     """A numerical procedure failed (factorization, convergence, ...)."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Matrix tolerance bundle used across the library."""
-
-    symmetry: float = 1e-12
-    physicality: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
+# absolute slack allowed on |V - V^T| and below the vacuum bound nu >= 1/2
+_SYMMETRY_TOL = 1e-12
+_PHYSICALITY_TOL = 1e-10
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -49,7 +43,6 @@ class GaussianState:
     modes: int
     mean: np.ndarray
     cov: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -62,7 +55,7 @@ class GaussianState:
         if self.cov.shape != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {self.cov.shape}")
         asym = np.abs(self.cov - self.cov.T).max()
-        if asym > self.tol.symmetry:
+        if asym > _SYMMETRY_TOL:
             raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
 
     def mean_photons(self) -> float:
@@ -91,9 +84,7 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.nus, 2))
 
 
-def _hermitian_form(
-    cov: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hermitian_form(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V^(1/2), symplectic spectrum and eigenvectors of H = V^(1/2) (i Omega) V^(1/2).
 
     H is Hermitian with eigenvalues +-nu_k. The top N eigenpairs are returned
@@ -103,7 +94,7 @@ def _hermitian_form(
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError("cov must be a square 2N x 2N matrix")
     asym = np.abs(cov - cov.T).max()
-    if asym > tol.symmetry:
+    if asym > _SYMMETRY_TOL:
         raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
     modes = cov.shape[0] // 2
 
@@ -125,20 +116,20 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return _hermitian_form(cov)[1]
 
 
-def is_physical(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> PhysicalityCheck:
+def is_physical(state: GaussianState) -> PhysicalityCheck:
     """Check the uncertainty relation V + i*Omega/2 >= 0 via symplectic eigenvalues.
 
     A covariance that is not positive definite is unphysical, reported with
     nu_min = nan since it has no symplectic spectrum.
     """
     try:
-        nu_min = float(_hermitian_form(state.cov, tol)[1][-1])
+        nu_min = float(_hermitian_form(state.cov)[1][-1])
     except ValueError:  # shape was checked when the state was built
         return PhysicalityCheck(False, math.nan)
-    return PhysicalityCheck(nu_min >= 0.5 - tol.physicality, nu_min)
+    return PhysicalityCheck(nu_min >= 0.5 - _PHYSICALITY_TOL, nu_min)
 
 
-def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
+def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite matrix.
 
     Each eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
@@ -148,7 +139,7 @@ def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDeco
     first significant q entry is positive with vanishing p partner, which
     makes the output deterministic.
     """
-    sqrt_cov, nus, vecs = _hermitian_form(cov, tol)
+    sqrt_cov, nus, vecs = _hermitian_form(cov)
     modes = nus.size
     cols = np.empty((2 * modes, 2 * modes))
     cols[:, 0::2] = vecs.imag
@@ -166,7 +157,7 @@ def williamson(cov: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDeco
         S[:, 2 * j] = c * u + s * v
         S[:, 2 * j + 1] = -s * u + c * v
 
-    physical = bool(nus[-1] >= 0.5 - tol.physicality)
+    physical = bool(nus[-1] >= 0.5 - _PHYSICALITY_TOL)
     return WilliamsonDecomposition(S=S, nus=nus, physical=physical)
 
 

@@ -36,6 +36,9 @@ DEFAULT_FREQUENCY_HZ = 1.0e9
 FIGURE_BACKGROUND = 6250.0
 MASER_TEMPERATURES_K = (300.0, 77.0, 10.0, 4.0)
 
+# a label names output files and fills an unquoted CSV field
+_LABEL_FORBIDDEN = "/\\,\r\n\0"
+
 # exact SI values (2019 redefinition)
 _PLANCK_H = 6.62607015e-34
 _BOLTZMANN_K = 1.380649e-23
@@ -82,6 +85,12 @@ class Scenario:
     n_t: float | None = None
 
     def __post_init__(self):
+        label = self.label
+        if not isinstance(label, str) or label in ("", ".", "..") or any(c in label for c in _LABEL_FORBIDDEN):
+            raise ValueError(
+                f"label must be a non-empty string without / \\ , CR, LF or NUL, "
+                f"and not . or .., got {label!r}"
+            )
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         for name in ("n_s", "eta", "n_a", "phi", "freq", "t_target", "t_fridge", "n_b", "n_t"):
@@ -268,31 +277,21 @@ def _panel(n_a: float, eta: float, copies: int) -> list[Scenario]:
     return scenarios
 
 
-FIGURE_IDS = (
-    "fig2_upper",
-    "fig2_lower",
-    "fig3_upper",
-    "fig3_lower",
-    "fig4_upper",
-    "fig4_mid",
-    "fig4_lower",
-)
+# figure id -> (n_a, eta, copies) of its panel
+_FIGURE_PANELS = {
+    "fig2_upper": (6250.0, 1e-2, 1),
+    "fig2_lower": (5e8, 1e-7, 1),
+    "fig3_upper": (6250.0, 1e-2, 100_000),
+    "fig3_lower": (5e8, 1e-7, 100_000),
+    "fig4_upper": (6250.0, 1e-5, 100_000),
+    "fig4_mid": (6250.0, 1e-8, 1_000),
+    "fig4_lower": (5e8, 1e-8, 1_000),
+}
+FIGURE_IDS = tuple(_FIGURE_PANELS)
 
 
 def figure_grid(figure_id: str) -> list[Scenario]:
     """Scenario sets behind the published benchmark figures."""
-    if figure_id == "fig2_upper":
-        return _panel(n_a=6250.0, eta=1e-2, copies=1)
-    if figure_id == "fig2_lower":
-        return _panel(n_a=5e8, eta=1e-7, copies=1)
-    if figure_id == "fig3_upper":
-        return _panel(n_a=6250.0, eta=1e-2, copies=100_000)
-    if figure_id == "fig3_lower":
-        return _panel(n_a=5e8, eta=1e-7, copies=100_000)
-    if figure_id == "fig4_upper":
-        return _panel(n_a=6250.0, eta=1e-5, copies=100_000)
-    if figure_id == "fig4_mid":
-        return _panel(n_a=6250.0, eta=1e-8, copies=1_000)
-    if figure_id == "fig4_lower":
-        return _panel(n_a=5e8, eta=1e-8, copies=1_000)
-    raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    if figure_id not in _FIGURE_PANELS:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    return _panel(*_FIGURE_PANELS[figure_id])

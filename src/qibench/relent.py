@@ -9,8 +9,8 @@ with D = Sigma(V0, V1) - Sigma(V0, V0). The log-determinant is accumulated
 as sum_k ln(nu_k^2 - 1/4) over symplectic eigenvalues, and the difference of
 the two Sigma terms is assembled pairwise so nearby states do not lose all
 significance. For grid corners where D itself is a near-cancellation below
-float64 resolution, every routine accepts ``dps`` to run the identical
-formulas in mpmath arbitrary precision.
+float64 resolution, :func:`relative_entropy` accepts ``dps`` to run the
+identical formulas in mpmath arbitrary precision.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import numpy as np
 
 from ._lazy import lazy_module
 from .gaussian import (
-    DEFAULT_TOL,
     GaussianState,
     NumericError,
-    Tolerances,
     WilliamsonDecomposition,
     symplectic_form,
     williamson,
@@ -80,14 +78,14 @@ def _gibbs_from_williamson(dec: WilliamsonDecomposition, who: str) -> np.ndarray
     return 0.5 * (gibbs + gibbs.T)
 
 
-def gibbs_matrix(state: GaussianState, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gibbs_matrix(state: GaussianState) -> np.ndarray:
     """Gibbs matrix of a strictly mixed Gaussian state.
 
     Built from the Williamson decomposition by applying the scalar map
     g(nu) = ln((nu + 1/2) / (nu - 1/2)) to each symplectic eigenvalue and
     conjugating back with S^{-T} (.) S^{-1}.
     """
-    return _gibbs_from_williamson(williamson(state.cov, tol), "state")
+    return _gibbs_from_williamson(williamson(state.cov), "state")
 
 
 def _clamp_nonneg(x: float, what: str) -> float:
@@ -98,9 +96,9 @@ def _clamp_nonneg(x: float, what: str) -> float:
     return x
 
 
-def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState, tol: Tolerances) -> RelEntResult:
-    dec0 = williamson(rho0.cov, tol)
-    dec1 = williamson(rho1.cov, tol)
+def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState) -> RelEntResult:
+    dec0 = williamson(rho0.cov)
+    dec1 = williamson(rho1.cov)
     gibbs1 = _gibbs_from_williamson(dec1, "rho1")
     gibbs0 = _gibbs_from_williamson(dec0, "rho0")
 
@@ -206,22 +204,19 @@ def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntRes
 
 
 def relative_entropy(
-    rho0: GaussianState,
-    rho1: GaussianState,
-    tol: Tolerances = DEFAULT_TOL,
-    dps: int | None = None,
+    rho0: GaussianState, rho1: GaussianState, *, dps: int | None = None
 ) -> RelEntResult:
     """Relative entropy D(rho0 || rho1) between Gaussian states.
 
-    rho1 must be strictly mixed. Pass ``dps`` for an arbitrary-precision
-    evaluation (used by the validation suite at parameter corners where the
-    result is a deep cancellation).
+    rho1 must be strictly mixed. Pass the keyword ``dps`` for an
+    arbitrary-precision evaluation (used by the validation suite at
+    parameter corners where the result is a deep cancellation).
     """
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
     if dps is not None:
         return _rel_ent_mp(rho0, rho1, dps)
-    return _rel_ent_f64(rho0, rho1, tol)
+    return _rel_ent_f64(rho0, rho1)
 
 
 def _pmd_raw(d: float, v: float, copies: int, epsilon: float) -> tuple[float, bool]:
@@ -250,13 +245,7 @@ def pmd_second_order(d: float, v: float, copies: int, epsilon: float) -> float:
 DEFAULT_EPSILON_GRID = np.geomspace(1e-4, 0.9, 60)
 
 
-def roc_from_rates(
-    d: float,
-    v: float,
-    copies: int,
-    grid: Sequence[float] | None = None,
-    meta: dict | None = None,
-) -> RocCurve:
+def roc_from_rates(d: float, v: float, copies: int, grid: Sequence[float] | None = None) -> RocCurve:
     """ROC curve (eps, P_md(eps)) for given decay rate d and variance v."""
     eps = np.sort(np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float))
     if eps.size == 0:
@@ -268,24 +257,18 @@ def roc_from_rates(
     for i, e in enumerate(eps):
         values[i], was_clamped = _pmd_raw(d, v, copies, float(e))
         clamped += was_clamped
-    info = dict(meta or {})
-    info.update(
-        d=d,
-        v=v,
-        clamped_points=clamped,
-        truncation="second-order: O(log M) and O(1) terms set to zero",
-    )
-    return RocCurve(p_fa=eps, p_md=values, copies=copies, meta=info)
+    meta = {
+        "d": d,
+        "v": v,
+        "clamped_points": clamped,
+        "truncation": "second-order: O(log M) and O(1) terms set to zero",
+    }
+    return RocCurve(p_fa=eps, p_md=values, copies=copies, meta=meta)
 
 
 def roc_asymmetric(
-    rho0: GaussianState,
-    rho1: GaussianState,
-    copies: int,
-    grid: Sequence[float] | None = None,
-    dps: int | None = None,
-    meta: dict | None = None,
+    rho0: GaussianState, rho1: GaussianState, copies: int, grid: Sequence[float] | None = None
 ) -> RocCurve:
     """ROC curve from the relative entropy and its variance of a state pair."""
-    res = relative_entropy(rho0, rho1, dps=dps)
-    return roc_from_rates(res.d, res.v, copies, grid, meta)
+    res = relative_entropy(rho0, rho1)
+    return roc_from_rates(res.d, res.v, copies, grid)

@@ -13,7 +13,8 @@ from ._lazy import lazy_module
 
 sp = lazy_module("scipy.special")
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
 def erfc(x: float) -> float:
@@ -25,11 +26,14 @@ def erfc_inv(y: float) -> float:
     """Inverse of erfc on (0, 2), Newton-refined to round-trip accuracy 1e-12.
 
     Below y ~ 1.2e-310, where erfc(x) underflows to 0, scipy's seed is
-    returned unrefined (inf at the smallest subnormal).
+    returned unrefined; at the smallest subnormal, where that seed is inf,
+    the root comes from the asymptotic tail of ln erfc instead.
     """
     if not 0.0 < y < 2.0:
         raise ValueError("erfc_inv is defined on the open interval (0, 2)")
     x = float(sp.erfcinv(y))
+    if math.isinf(x):
+        return _erfc_inv_tail(y)
     for _ in range(3):
         value = float(sp.erfc(x))
         if value == 0.0:
@@ -45,6 +49,26 @@ def erfc_inv(y: float) -> float:
             break
         x = x_new
     return x + 0.0
+
+
+def _erfc_inv_tail(y: float) -> float:
+    """Root of ln erfc(x) = ln y for y far below the range where erfc(x) is normal.
+
+    Newton steps on ln erfc(x) = -x^2 - ln(x sqrt(pi)) + ln S(x), with the
+    asymptotic series S(x) = 1 - z + 3z^2 - 15z^3 + 105z^4 in z = 1/(2x^2)
+    (truncation error below 3e-13 for x > 26) and d/dx ln erfc = -2x / S.
+    """
+    ln_y = math.log(y)
+    x = math.sqrt(-ln_y)
+    for _ in range(10):
+        z = 0.5 / (x * x)
+        series = 1.0 - z * (1.0 - 3.0 * z * (1.0 - 5.0 * z * (1.0 - 7.0 * z)))
+        residual = -x * x - math.log(x * _SQRT_PI) + math.log(series) - ln_y
+        x_new = x + residual * series / (2.0 * x)
+        if x_new == x:
+            break
+        x = x_new
+    return x
 
 
 def normal_quantile(epsilon: float) -> float:

@@ -146,7 +146,7 @@ def check_qcb_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
     )
 
 
-def check_qre_equivalence(combos: list[Scenario] | None = None, dps: int = QRE_ORACLE_DPS) -> CheckResult:
+def check_qre_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
     """Closed-form (D, V) vs the general relative entropy at high precision."""
     combos = benchmark_combos() if combos is None else combos
     if not combos:
@@ -155,7 +155,7 @@ def check_qre_equivalence(combos: list[Scenario] | None = None, dps: int = QRE_O
     worst_label = ""
     for scenario in combos:
         pair = hypothesis_pair(scenario)
-        oracle = relative_entropy(pair.rho0, pair.rho1, dps=dps)
+        oracle = relative_entropy(pair.rho0, pair.rho1, dps=QRE_ORACLE_DPS)
         d_closed, v_closed = cf.closed_qre(scenario)
         dev = max(_rel_dev(d_closed, oracle.d), _rel_dev(v_closed, oracle.v))
         if dev > worst:
@@ -165,7 +165,7 @@ def check_qre_equivalence(combos: list[Scenario] | None = None, dps: int = QRE_O
         passed=worst <= 1e-8,
         metric=worst,
         threshold=1e-8,
-        detail=f"{len(combos)} combos at dps={dps}, worst at {worst_label}",
+        detail=f"{len(combos)} combos at dps={QRE_ORACLE_DPS}, worst at {worst_label}",
     )
 
 

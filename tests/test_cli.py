@@ -213,6 +213,19 @@ def test_figure_rejects_copies_beyond_int64(tmp_path, capsys):
     assert "int64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "label", ["a/b", "x/../../y", "a\\b", "a,b", "a\nb", "a\rb", "a\0b", ".", "..", "", 5, None]
+)
+def test_roc_rejects_unsafe_labels(label, tmp_path, capsys):
+    doc = next(s for s in figure_grid("fig2_upper") if s.label == "amp").to_dict()
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(dict(doc, label=label)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["roc", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 IMPORT_SURFACE = """
 import json, sys
 HEAVY = ("scipy.linalg._flapack", "scipy.special._ufuncs", "mpmath.libmp")

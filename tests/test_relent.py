@@ -122,6 +122,8 @@ def test_relative_entropy_errors():
     two_mode = GaussianState(2, np.zeros(4), 0.7 * np.eye(4))
     with pytest.raises(ValueError):
         relative_entropy(make_thermal(1.0), two_mode)
+    with pytest.raises(TypeError):  # dps is keyword-only
+        relative_entropy(make_thermal(1.0), make_thermal(2.0), 50)
 
 
 def test_relative_entropy_nonnegative_and_faithful():

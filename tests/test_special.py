@@ -72,3 +72,5 @@ def test_erfc_inv_where_erfc_underflows():
     assert all(b >= a for a, b in zip(xs, xs[1:]))
     assert erfc_inv(1e-315) > 26.6
     assert math.isfinite(normal_quantile(1e-320))
+    # scipy's seed is inf at the smallest subnormal; mpmath root of ln erfc(x) = ln(2^-1074)
+    assert erfc_inv(5e-324) == pytest.approx(27.21329321081295, rel=1e-12)
