@@ -14,13 +14,15 @@ validated against pure-state overlaps, thermal-state spectral sums and
 Fock-space numerics in the test suite.
 
 The work is split in two steps. Preparing a pair (``_prepare``) runs the two
-Williamson decompositions, the physicality check and the pure-mode clamp and
-forms d; none of it depends on s. Evaluating at one s (``_evaluate``) builds
-Pi_s and Sigma_s from the prepared symplectic eigenvalues and matrices, then
-factors Sigma_s = L L^T with numpy's Cholesky: ln det Sigma_s comes from the
-diagonal of L and the displacement term is |L^{-1} d|^2. ``s_overlap`` and
-``qbb`` prepare and evaluate once; ``qcb`` prepares once and evaluates at
-every s of its search.
+Williamson decompositions, the physicality check and the pure-mode clamp,
+takes the s-independent functions of the symplectic eigenvalues and forms d.
+Evaluating (``_evaluate``) takes an array of s and handles all of it in one
+numpy pass: ln det Pi_s from elementwise functions of s and nu, Sigma_s as a
+stack of matrices, then a stacked Cholesky factorization Sigma_s = L L^T:
+ln det Sigma_s comes from the diagonal of L and the displacement term is
+|L^{-1} d|^2. ``s_overlap`` and ``qbb`` prepare once and evaluate a
+one-element array; ``qcb`` prepares once and evaluates a grid of s per step
+of its search.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from .gaussian import GaussianState, NumericError, williamson
 _S_EDGE = 1e-9
 _NU_CLAMP = 0.5 + 1e-12
 _S_TOL = 1e-10
-_MAX_ITER = 200
+_SCAN_POINTS = 33
+# the search grid on [-1, 1], scaled onto each bracket; an odd point count
+# puts its middle point exactly at the centre, so the first scan has s = 1/2
+_UNIT_GRID = np.linspace(-1.0, 1.0, _SCAN_POINTS)
 
 
 @dataclass
@@ -66,6 +71,9 @@ class BoundResult:
     produced by :mod:`qibench.closed_forms` keep the printed single
     prefactor, value = (1/2) * prefactor * exp(-copies * mean_exponent).
     clamped flags a pure-mode regularization in the underlying overlap.
+    evaluations counts the s-points the bound evaluated (1 for qbb, 0 for
+    closed forms), and s_bracket is the width of the final bracket of the
+    s-search, None where no search ran.
     """
 
     value: float
@@ -75,6 +83,8 @@ class BoundResult:
     prefactor: float
     mean_exponent: float
     clamped: bool = False
+    evaluations: int = 0
+    s_bracket: float | None = None
 
     @property
     def per_mode_exponent(self) -> float:
@@ -82,29 +92,17 @@ class BoundResult:
         return 0.0 - math.log(self.per_mode_overlap)
 
 
-def _atanh_u(nu: np.ndarray) -> np.ndarray:
-    return np.arctanh(0.5 / nu)
-
-
-def _lambda_s(nu: np.ndarray, s: float) -> np.ndarray:
-    """Lambda_s over a vector of symplectic eigenvalues, cancellation-free."""
-    return 1.0 / np.tanh(s * _atanh_u(nu))
-
-
-def _ln_g_minus(nu: np.ndarray, s: float) -> np.ndarray:
-    """ln[(nu+1/2)^s - (nu-1/2)^s] = -ln G_s(nu), stable for large nu."""
-    return s * np.log(nu + 0.5) + np.log(-np.expm1(-2.0 * s * _atanh_u(nu)))
-
-
 @dataclass(frozen=True)
 class _PreparedPair:
-    """The s-independent part of the s-overlap of one pair of states."""
+    """The s-independent part of the s-overlap of one pair of states.
+
+    ``spectra`` holds, for each state, ln(nu + 1/2) and theta = artanh(1/(2 nu))
+    of its clamped symplectic eigenvalues, so that (nu - 1/2)/(nu + 1/2) =
+    exp(-2 theta), and the symplectic matrix of its Williamson form.
+    """
 
     modes: int
-    nu0: np.ndarray
-    nu1: np.ndarray
-    sym0: np.ndarray
-    sym1: np.ndarray
+    spectra: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     d: np.ndarray
     clamped: bool
 
@@ -113,48 +111,57 @@ def _prepare(rho0: GaussianState, rho1: GaussianState) -> _PreparedPair:
     """Williamson forms, pure-mode clamp and mean difference of a pair."""
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
-    w0 = williamson(rho0.cov)
-    w1 = williamson(rho1.cov)
-    if not (w0.physical and w1.physical):
+    forms = (williamson(rho0.cov), williamson(rho1.cov))
+    if not all(w.physical for w in forms):
         raise ValueError("s_overlap requires physical states")
+    nus = [np.maximum(w.nus, _NU_CLAMP) for w in forms]
     return _PreparedPair(
         modes=rho0.modes,
-        nu0=np.maximum(w0.nus, _NU_CLAMP),
-        nu1=np.maximum(w1.nus, _NU_CLAMP),
-        sym0=w0.S,
-        sym1=w1.S,
-        d=rho0.mean - rho1.mean,
-        clamped=bool(w0.nus.min() < _NU_CLAMP or w1.nus.min() < _NU_CLAMP),
+        spectra=tuple((np.log(nu + 0.5), np.arctanh(0.5 / nu), w.S) for nu, w in zip(nus, forms)),
+        # a (1, 2n, 1) stack of one column, which np.linalg.solve broadcasts
+        # the same way in every numpy version
+        d=(rho0.mean - rho1.mean).reshape(1, -1, 1),
+        clamped=any(w.nus.min() < _NU_CLAMP for w in forms),
     )
 
 
-def _evaluate(pair: _PreparedPair, s: float) -> OverlapResult:
-    """The s-overlap of a prepared pair at one s."""
-    if s < -1e-12 or s > 1.0 + 1e-12:
-        raise ValueError("s must lie in [0, 1]")
-    s_eff = min(max(s, _S_EDGE), 1.0 - _S_EDGE)
-    nu0, nu1 = pair.nu0, pair.nu1
+def _evaluate(pair: _PreparedPair, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln prefactor and mean exponent of the s-overlap at every s of a 1-D array.
 
-    ln_det_pi = -2.0 * (np.sum(_ln_g_minus(nu0, s_eff)) + np.sum(_ln_g_minus(nu1, 1.0 - s_eff)))
-    lam0 = np.repeat(_lambda_s(nu0, s_eff), 2)
-    lam1 = np.repeat(_lambda_s(nu1, 1.0 - s_eff), 2)
-    sigma = (pair.sym0 * lam0[None, :]) @ pair.sym0.T + (pair.sym1 * lam1[None, :]) @ pair.sym1.T
-    sigma = 0.5 * (sigma + sigma.T)
+    Every s must lie in the open interval (0, 1). Each s is evaluated by the
+    same elementwise arithmetic, so an s gives the same bits alone as inside
+    a longer array.
+    """
+    sum_ln_g, sigma = 0.0, 0.0
+    for (ln_top, theta, sym), t in zip(pair.spectra, (s[:, None], 1.0 - s[:, None])):
+        # ln[(nu+1/2)^t - (nu-1/2)^t] = -ln G_t(nu) and Lambda_t(nu) = coth(t theta),
+        # both free of cancellation for large nu
+        sum_ln_g = sum_ln_g + (t * ln_top + np.log(-np.expm1(-2.0 * t * theta))).sum(axis=1)
+        lam = np.repeat(1.0 / np.tanh(t * theta), 2, axis=1)
+        sigma = sigma + (sym * lam[:, None, :]) @ sym.T
+    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Sigma_s is not positive definite at s={s_eff}: {exc}") from exc
-    ln_det_sigma = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        raise NumericError(f"Sigma_s is not positive definite for s in [{s.min()}, {s.max()}]: {exc}") from exc
+    ln_det_sigma = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
 
-    y = np.linalg.solve(chol, pair.d)
-    mean_exponent = float(y @ y)
-    ln_pre = pair.modes * math.log(2.0) + 0.5 * (ln_det_pi - ln_det_sigma)
-    prefactor = math.exp(ln_pre)
+    y = np.linalg.solve(chol, pair.d)[..., 0]
+    ln_pre = pair.modes * math.log(2.0) + 0.5 * (-2.0 * sum_ln_g - ln_det_sigma)
+    return ln_pre, (y * y).sum(axis=1)
+
+
+def _overlap(pair: _PreparedPair, s: float) -> OverlapResult:
+    """The s-overlap of a prepared pair at one s, as a one-element evaluation."""
+    if not -1e-12 <= s <= 1.0 + 1e-12:
+        raise ValueError("s must lie in [0, 1]")
+    s_eff = np.array([min(max(s, _S_EDGE), 1.0 - _S_EDGE)])
+    ln_pre, mean_exponent = (float(v[0]) for v in _evaluate(pair, s_eff))
     return OverlapResult(
         c_s=math.exp(ln_pre - mean_exponent),
         s=s,
-        prefactor=prefactor,
+        prefactor=math.exp(ln_pre),
         mean_exponent=mean_exponent,
         clamped=pair.clamped,
     )
@@ -167,12 +174,18 @@ def s_overlap(rho0: GaussianState, rho1: GaussianState, s: float) -> OverlapResu
     at the interior point 1e-9 away. Pure modes (nu = 1/2) are clamped to
     1/2 + 1e-12 and flagged.
     """
-    return _evaluate(_prepare(rho0, rho1), s)
+    return _overlap(_prepare(rho0, rho1), s)
 
 
-def _bound_from_overlap(res: OverlapResult, copies: int) -> BoundResult:
+def _ln_c(res: OverlapResult) -> float:
+    return math.log(res.prefactor) - res.mean_exponent
+
+
+def _bound_from_overlap(
+    res: OverlapResult, copies: int, evaluations: int, s_bracket: float | None = None
+) -> BoundResult:
     # C_s <= 1 for any two states (Hoelder), so a positive ln C is rounding
-    ln_c = min(math.log(res.prefactor) - res.mean_exponent, 0.0)
+    ln_c = min(_ln_c(res), 0.0)
     value = math.exp(math.log(0.5) + copies * ln_c) if ln_c * copies > -745.0 else 0.0
     return BoundResult(
         value=value,
@@ -182,6 +195,8 @@ def _bound_from_overlap(res: OverlapResult, copies: int) -> BoundResult:
         prefactor=res.prefactor,
         mean_exponent=res.mean_exponent,
         clamped=res.clamped,
+        evaluations=evaluations,
+        s_bracket=s_bracket,
     )
 
 
@@ -189,85 +204,62 @@ def qbb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     """Quantum Bhattacharyya bound, the s-overlap fixed at s = 1/2."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    return _bound_from_overlap(s_overlap(rho0, rho1, 0.5), copies)
+    return _bound_from_overlap(s_overlap(rho0, rho1, 0.5), copies, evaluations=1)
 
 
 def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResult:
     """Quantum Chernoff bound (1/2) (inf_s C_s)^M.
 
-    ln C_s is minimized over s in [1e-9, 1 - 1e-9] by golden-section search
-    (assuming unimodality) followed by a few parabolic refinement steps;
-    the search stops once the bracket is below a fixed 1e-10, after 200
-    steps, or once the exponent stops changing by more than 1e-13. The pair
-    is decomposed once and every step of the search evaluates C_s on that
-    prepared pair. The s = 1/2 overlap is evaluated too and returned when it
-    is lower than the search's best, so the result never exceeds
-    :func:`qbb`'s.
+    ln C_s is convex in s, so its minimum over [1e-9, 1 - 1e-9] is found by
+    scan and zoom: ln C_s is evaluated at 33 evenly spaced s (the middle one
+    exactly 1/2) in one batched call, the bracket shrinks to the two grid
+    points around the lowest value, and a fresh 33-point grid is laid over
+    it. The search stops once the bracket is at most 1e-10 wide, or below
+    1e-6 with its three values within 1e-13 of each other; one parabolic
+    step through those three points then refines s*. The pair is decomposed
+    once. s* is evaluated again on its own, as :func:`s_overlap` does, and
+    the s = 1/2 overlap is returned instead when it is lower or the states
+    are indistinguishable (C > 1 - 1e-12), so the result never exceeds
+    :func:`qbb`'s. ``evaluations`` counts the s-points evaluated and
+    ``s_bracket`` is the final bracket width.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
     pair = _prepare(rho0, rho1)
-    cache: dict[float, OverlapResult] = {}
-
-    def overlap(s: float) -> OverlapResult:
-        res = cache.get(s)
-        if res is None:
-            res = cache[s] = _evaluate(pair, s)
-        return res
-
-    def ln_c(s: float) -> float:
-        res = overlap(s)
-        return math.log(res.prefactor) - res.mean_exponent
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = _S_EDGE, 1.0 - _S_EDGE
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = ln_c(c), ln_c(d)
-    iterations = 0
-    while (b - a) > _S_TOL and iterations < _MAX_ITER:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = ln_c(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = ln_c(d)
-        if abs(fc - fd) < 1e-13 and (b - a) < 1e-6:
+    centre, half_width = 0.5, 0.5 - _S_EDGE
+    evaluations = 0
+    while True:
+        s = centre + half_width * _UNIT_GRID
+        ln_pre, mean_exponent = _evaluate(pair, s)
+        ln_c = ln_pre - mean_exponent
+        evaluations += s.size
+        best = int(np.argmin(ln_c))
+        # the minimum lies between the neighbours of the lowest grid point
+        j = min(max(best, 1), _SCAN_POINTS - 2)
+        width = s[j + 1] - s[j - 1]
+        if width <= _S_TOL or (width < 1e-6 and np.ptp(ln_c[j - 1 : j + 2]) < 1e-13):
             break
+        centre, half_width = s[j], 0.5 * width
 
-    # parabolic polish on the final bracket
-    lo, hi = a, b
-    mid = c if fc < fd else d
-    f_mid = min(fc, fd)
-    for _ in range(5):
-        f_lo, f_hi = ln_c(lo), ln_c(hi)
-        denom = (mid - lo) * (f_mid - f_hi) - (mid - hi) * (f_mid - f_lo)
-        if denom == 0.0:
-            break
-        num = (mid - lo) ** 2 * (f_mid - f_hi) - (mid - hi) ** 2 * (f_mid - f_lo)
-        cand = mid - 0.5 * num / denom
-        if not lo < cand < hi or cand == mid:
-            break
-        f_cand = ln_c(cand)
-        converged = abs(f_cand - f_mid) < 1e-13
-        if f_cand < f_mid:
-            lo, hi = (lo, mid) if cand < mid else (mid, hi)
-            mid, f_mid = cand, f_cand
-        elif cand < mid:
-            lo = cand
-        else:
-            hi = cand
-        if converged:
-            break
-    best_s = mid
+    # one parabolic step through the final three points when the middle one
+    # is the lowest, so that the parabola has its vertex between them
+    s_star = float(s[best])
+    (x0, x1, x2), (f0, f1, f2) = s[j - 1 : j + 2], ln_c[j - 1 : j + 2]
+    denom = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
+    if best == j and denom != 0.0:
+        step = float(x1 - 0.5 * ((x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)) / denom)
+        if x0 < step < x2:
+            s_star = step
+    result = _overlap(pair, s_star)
+    evaluations += 1
 
     # indistinguishable hypotheses (C = 1 for every s) report s* = 1/2, and
-    # so does a search that ended a rounding error above the s = 1/2 overlap:
-    # the result never exceeds qbb's
-    if ln_c(best_s) > math.log1p(-1e-12) or overlap(0.5).c_s < overlap(best_s).c_s:
-        best_s = 0.5
-    return _bound_from_overlap(overlap(best_s), copies)
+    # so does a search that ended a rounding error above the s = 1/2 overlap,
+    # in C or in the ln C that value is formed from: neither exceeds qbb's
+    if result.s != 0.5:
+        half = _overlap(pair, 0.5)
+        evaluations += 1
+        if result.c_s > 1.0 - 1e-12 or half.c_s < result.c_s or _ln_c(half) < _ln_c(result):
+            result = half
+    return _bound_from_overlap(result, copies, evaluations, float(width))

@@ -78,6 +78,8 @@ def _oracle_row(scenario: Scenario) -> tuple[dict, list[str]]:
         "s": bhatta.s_star,
         "s_star": minimized.s_star,
         "total_exponent_per_mode": minimized.per_mode_exponent,
+        "evaluations": minimized.evaluations,
+        "s_bracket": minimized.s_bracket,
         "copies": minimized.copies,
     }
     return row, notes

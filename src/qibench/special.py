@@ -25,20 +25,19 @@ def erfc(x: float) -> float:
 def erfc_inv(y: float) -> float:
     """Inverse of erfc on (0, 2), Newton-refined to round-trip accuracy 1e-12.
 
-    Below y ~ 1.2e-310, where erfc(x) underflows to 0, scipy's seed is
-    returned unrefined; at the smallest subnormal, where that seed is inf,
-    the root comes from the asymptotic tail of ln erfc instead.
+    Below y ~ 1.2e-310, where erfc(x) underflows to 0 and so does a Newton
+    step on it, and at the smallest subnormal, where scipy's seed is inf, the
+    root comes from the asymptotic tail of ln erfc instead.
     """
     if not 0.0 < y < 2.0:
         raise ValueError("erfc_inv is defined on the open interval (0, 2)")
     x = float(sp.erfcinv(y))
-    if math.isinf(x):
-        return _erfc_inv_tail(y)
     for _ in range(3):
         value = float(sp.erfc(x))
         if value == 0.0:
-            # erfc underflows exactly where exp(x*x) in the step overflows
-            break
+            # erfc underflows (and scipy's seed is inf at the smallest
+            # subnormal) exactly where exp(x*x) in the step overflows
+            return _erfc_inv_tail(y)
         residual = value - y
         if residual == 0.0:
             break

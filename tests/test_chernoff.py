@@ -103,6 +103,8 @@ def test_overlap_domain_errors():
         s_overlap(make_thermal(1.0), make_thermal(1.0), 1.5)
     with pytest.raises(ValueError):
         s_overlap(make_thermal(1.0), make_thermal(1.0), -0.2)
+    with pytest.raises(ValueError):
+        s_overlap(make_thermal(1.0), make_thermal(1.0), math.nan)
     two_mode = GaussianState(2, np.zeros(4), 0.7 * np.eye(4))
     with pytest.raises(ValueError):
         s_overlap(make_thermal(1.0), two_mode, 0.5)
@@ -137,6 +139,71 @@ def test_qcb_not_above_grid_search():
     assert bound.per_mode_overlap <= grid_min + 1e-12
 
 
+def _tmsv_return_pair(n_s, n_b, eta):
+    """thermal(N_B) x thermal(N_S) against the correlated two-mode squeezed return."""
+    z = np.diag([1.0, -1.0])
+    corr = math.sqrt(eta * n_s * (n_s + 1.0))
+    idler = (n_s + 0.5) * np.eye(2)
+    background = np.block([[(n_b + 0.5) * np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), idler]])
+    returned = np.block([[(eta * n_s + n_b + 0.5) * np.eye(2), corr * z], [corr * z, idler]])
+    return GaussianState(2, np.zeros(4), background), GaussianState(2, np.zeros(4), returned)
+
+
+@pytest.mark.parametrize(
+    "rho0, rho1",
+    [
+        (make_thermal(0.0), make_thermal(3.0)),
+        (make_coherent(0.5), make_thermal(2.0)),
+        _tmsv_return_pair(1e-2, 1000.0, 1e-2),
+    ],
+    ids=["vacuum_thermal3", "coherent_thermal2", "tmsv_return"],
+)
+def test_qcb_not_above_grid_search_off_centre(rho0, rho1):
+    # minima near s = 0.10 and a 4x4 pair; the grid goes through the batched
+    # evaluator, which gives s_overlap's bits at every s
+    grid = np.linspace(1e-6, 1 - 1e-6, 2001)
+    ln_pre, mean_exponent = chernoff._evaluate(chernoff._prepare(rho0, rho1), grid)
+    grid_min = float(np.exp(ln_pre - mean_exponent).min())
+    assert qcb(rho0, rho1).per_mode_overlap <= grid_min + 1e-12
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_batched_evaluation_matches_single_points(rng, random_cov, modes):
+    rho0 = GaussianState(modes, rng.normal(size=2 * modes), random_cov(rng, modes))
+    rho1 = GaussianState(modes, rng.normal(size=2 * modes), random_cov(rng, modes))
+    pair = chernoff._prepare(rho0, rho1)
+    s = np.concatenate([np.sort(rng.uniform(1e-9, 1.0 - 1e-9, size=32)), [0.5]])
+    ln_pre, mean_exponent = chernoff._evaluate(pair, s)
+    singles = [chernoff._evaluate(pair, s[k : k + 1]) for k in range(s.size)]
+    assert np.array_equal(ln_pre, [one[0][0] for one in singles])
+    assert np.array_equal(mean_exponent, [one[1][0] for one in singles])
+
+
+@pytest.mark.parametrize(
+    "rho0, rho1",
+    [
+        (displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8)),
+        (make_thermal(6250.0), displaced_thermal_state(6312.5, math.sqrt(1e-4))),
+        (displaced_thermal_state(0.5, 0.1), displaced_thermal_state(2.5, 1.0)),
+        (make_thermal(1.0), make_thermal(3.0)),
+    ],
+)
+def test_qcb_batches_its_search(monkeypatch, rho0, rho1):
+    # counts evaluator calls, not time; a serial search makes one per s-point (33 and more)
+    sizes = []
+    evaluate = chernoff._evaluate
+
+    def counting(pair, s):
+        sizes.append(s.size)
+        return evaluate(pair, s)
+
+    monkeypatch.setattr(chernoff, "_evaluate", counting)
+    bound = qcb(rho0, rho1)
+    assert len(sizes) <= 10
+    assert bound.evaluations == sum(sizes)
+    assert 0.0 < bound.s_bracket < 1e-6
+
+
 def test_qbb_dominates_qcb():
     pairs = [
         (make_thermal(6250.0), displaced_thermal_state(6312.5, math.sqrt(1e-4))),
@@ -150,6 +217,7 @@ def test_qbb_dominates_qcb():
 def test_qbb_pure_coherent_value():
     bound = qbb(make_thermal(0.0), make_coherent(0.01), copies=1)
     assert bound.value == pytest.approx(0.5 * math.exp(-0.01), rel=1e-6)
+    assert (bound.evaluations, bound.s_bracket) == (1, None)
 
 
 def test_qcb_symmetric_in_arguments():
@@ -209,6 +277,26 @@ def test_qcb_not_above_qbb_exactly():
     bhattacharyya = qbb(pair.rho0, pair.rho1, scenario.copies)
     assert chernoff.per_mode_overlap <= bhattacharyya.per_mode_overlap
     assert chernoff.value <= bhattacharyya.value
+
+
+def test_qcb_value_not_above_qbb_value():
+    # C ties at s* and s = 1/2 while ln prefactor - mean_exponent, which value
+    # is formed from, puts s* a rounding error above s = 1/2 (9e-11 relative
+    # at 4.9e7 copies before value was compared too)
+    scenario = build_scenario(
+        "optical",
+        energy_matched=False,
+        label="t",
+        n_s=0.0013631572955928697,
+        eta=0.0008936760258408607,
+        n_b=4990.5341955363465,
+        copies=49254520,
+    )
+    pair = hypothesis_pair(scenario)
+    minimized = qcb(pair.rho0, pair.rho1, scenario.copies)
+    bhattacharyya = qbb(pair.rho0, pair.rho1, scenario.copies)
+    assert minimized.per_mode_overlap <= bhattacharyya.per_mode_overlap
+    assert minimized.value <= bhattacharyya.value
 
 
 @pytest.mark.parametrize("bound", [qbb, qcb])

@@ -31,6 +31,10 @@ def test_bound_both_methods_agree(amp_scenario, capsys):
     agreement = next(r for r in report["results"] if r["method"] == "agreement")
     assert agreement["exponent_rel_dev"] <= 1e-6
     assert report["warnings"] == []
+    # the s-search reports how it ended
+    oracle = next(r for r in report["results"] if r["method"] == "qcb_oracle")
+    assert oracle["evaluations"] > 1
+    assert 0.0 < oracle["s_bracket"] < 1e-6
 
 
 def test_bound_zero_reflectivity(tmp_path, capsys):

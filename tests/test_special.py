@@ -70,7 +70,9 @@ def test_erfc_inv_where_erfc_underflows():
     xs = [erfc_inv(y) for y in ys]
     assert not any(math.isnan(x) for x in xs)
     assert all(b >= a for a, b in zip(xs, xs[1:]))
-    assert erfc_inv(1e-315) > 26.6
+    assert math.isfinite(erfc_inv(2e-320)) and erfc_inv(2e-320) > erfc_inv(1e-315)
     assert math.isfinite(normal_quantile(1e-320))
+    # mpmath root of ln erfc(x) = ln(1e-315); scipy's unrefined seed is 3.4e-12 off
+    assert erfc_inv(1e-315) == pytest.approx(26.85983275331074, rel=1e-12)
     # scipy's seed is inf at the smallest subnormal; mpmath root of ln erfc(x) = ln(2^-1074)
     assert erfc_inv(5e-324) == pytest.approx(27.21329321081295, rel=1e-12)
