@@ -157,12 +157,16 @@ def _overlap(pair: _PreparedPair, s: float) -> OverlapResult:
     if not -1e-12 <= s <= 1.0 + 1e-12:
         raise ValueError("s must lie in [0, 1]")
     s_eff = np.array([min(max(s, _S_EDGE), 1.0 - _S_EDGE)])
-    ln_pre, mean_exponent = (float(v[0]) for v in _evaluate(pair, s_eff))
+    ln_pre, mean_exponent = _evaluate(pair, s_eff)
+    return _overlap_result(pair, s, ln_pre[0], mean_exponent[0])
+
+
+def _overlap_result(pair: _PreparedPair, s: float, ln_pre: float, mean_exponent: float) -> OverlapResult:
     return OverlapResult(
         c_s=math.exp(ln_pre - mean_exponent),
         s=s,
         prefactor=math.exp(ln_pre),
-        mean_exponent=mean_exponent,
+        mean_exponent=float(mean_exponent),
         clamped=pair.clamped,
     )
 
@@ -218,29 +222,31 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     1e-6 with its three values within 1e-13 of each other; one parabolic
     step through those three points then refines s*. The pair is decomposed
     once. s* is evaluated again on its own, as :func:`s_overlap` does, and
-    the s = 1/2 overlap is returned instead when it is lower or the states
-    are indistinguishable (C > 1 - 1e-12), so the result never exceeds
-    :func:`qbb`'s. ``evaluations`` counts the s-points evaluated and
+    the s = 1/2 overlap of the first scan is returned instead when it is
+    lower or the states are indistinguishable (C > 1 - 1e-12), so the result
+    never exceeds :func:`qbb`'s. ``evaluations`` counts the s-points
+    evaluated (the scans plus s*; s = 1/2 is not evaluated twice) and
     ``s_bracket`` is the final bracket width.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
     pair = _prepare(rho0, rho1)
-    centre, half_width = 0.5, 0.5 - _S_EDGE
-    evaluations = 0
+    s = 0.5 + (0.5 - _S_EDGE) * _UNIT_GRID
+    ln_pre, mean_exponent = _evaluate(pair, s)
+    half = _overlap_result(pair, 0.5, ln_pre[_SCAN_POINTS // 2], mean_exponent[_SCAN_POINTS // 2])
+    evaluations = s.size
     while True:
-        s = centre + half_width * _UNIT_GRID
-        ln_pre, mean_exponent = _evaluate(pair, s)
         ln_c = ln_pre - mean_exponent
-        evaluations += s.size
         best = int(np.argmin(ln_c))
         # the minimum lies between the neighbours of the lowest grid point
         j = min(max(best, 1), _SCAN_POINTS - 2)
         width = s[j + 1] - s[j - 1]
         if width <= _S_TOL or (width < 1e-6 and np.ptp(ln_c[j - 1 : j + 2]) < 1e-13):
             break
-        centre, half_width = s[j], 0.5 * width
+        s = s[j] + 0.5 * width * _UNIT_GRID
+        ln_pre, mean_exponent = _evaluate(pair, s)
+        evaluations += s.size
 
     # one parabolic step through the final three points when the middle one
     # is the lowest, so that the parabola has its vertex between them
@@ -258,8 +264,6 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     # so does a search that ended a rounding error above the s = 1/2 overlap,
     # in C or in the ln C that value is formed from: neither exceeds qbb's
     if result.s != 0.5:
-        half = _overlap(pair, 0.5)
-        evaluations += 1
         if result.c_s > 1.0 - 1e-12 or half.c_s < result.c_s or _ln_c(half) < _ln_c(result):
             result = half
     return _bound_from_overlap(result, copies, evaluations, float(width))

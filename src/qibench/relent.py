@@ -10,14 +10,18 @@ as sum_k ln(nu_k^2 - 1/4) over symplectic eigenvalues, and the difference of
 the two Sigma terms is assembled pairwise so nearby states do not lose all
 significance. For grid corners where D itself is a near-cancellation below
 float64 resolution, :func:`relative_entropy` accepts ``dps`` to run the
-identical formulas in mpmath arbitrary precision.
+identical formulas in mpmath arbitrary precision. A check that evaluates
+many pairs at one ``dps`` wraps its loop in ``_shared_mp_forms()``: inside
+that block each distinct covariance is converted and decomposed once, and
+the forms are dropped when the block ends.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,13 +64,18 @@ class RocCurve:
         return bool(np.all(np.diff(self.p_fa) > 0) and np.all(np.diff(self.p_md) <= 1e-15))
 
 
+def _pure_mode_error(who: str, nu: float, mode: int) -> ValueError:
+    """Pure-mode error; ``mode`` indexes the symplectic eigenvalues sorted descending."""
+    return ValueError(
+        f"Gibbs matrix diverges for pure modes; {who} has symplectic "
+        f"eigenvalue {nu:.12g} at mode index {mode}"
+    )
+
+
 def _check_mixed(nus: np.ndarray, who: str) -> None:
     bad = np.nonzero(nus <= 0.5 + _PURE_NU_TOL)[0]
     if bad.size:
-        raise ValueError(
-            f"Gibbs matrix diverges for pure modes; {who} has symplectic "
-            f"eigenvalue {nus[bad[0]]:.12g} at mode index {int(bad[0])}"
-        )
+        raise _pure_mode_error(who, nus[bad[0]], int(bad[0]))
 
 
 def _gibbs_from_williamson(dec: WilliamsonDecomposition, who: str) -> np.ndarray:
@@ -131,7 +140,7 @@ def _mp_omega(n: int) -> mp.matrix:
     return omega
 
 
-def _mp_gibbs_lndet(cov: mp.matrix) -> tuple[mp.matrix, mp.mpf]:
+def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
     """Gibbs matrix and ln det(V + i Omega/2) at working precision.
 
     Uses the Hermitian form W = V^{1/2} (i Omega) V^{1/2}, whose eigenvalues
@@ -141,7 +150,7 @@ def _mp_gibbs_lndet(cov: mp.matrix) -> tuple[mp.matrix, mp.mpf]:
     n = dim // 2
     evals, q = mp.eigsy(mp.matrix(cov))
     if min(evals) <= 0:
-        raise ValueError("covariance matrix is not positive definite")
+        raise ValueError(f"{who} covariance matrix is not positive definite")
     d_sqrt = mp.zeros(dim, dim)
     d_isqrt = mp.zeros(dim, dim)
     for i in range(dim):
@@ -158,7 +167,9 @@ def _mp_gibbs_lndet(cov: mp.matrix) -> tuple[mp.matrix, mp.mpf]:
     for i in range(dim):
         nu = abs(e[i])
         if nu <= mp.mpf(1) / 2:
-            raise ValueError("Gibbs matrix diverges for pure modes")
+            # e ascends from -nu_max to +nu_max; modes are indexed by descending
+            # nu, as in williamson
+            raise _pure_mode_error(who, float(nu), i if i < n else dim - 1 - i)
         if e[i] > 0:
             lndet += mp.log(nu**2 - mp.mpf(1) / 4)
         phi[i, i] = nu * mp.log((nu + mp.mpf(1) / 2) / (nu - mp.mpf(1) / 2))
@@ -174,13 +185,48 @@ def _mp_trace(m: mp.matrix) -> mp.mpf:
     return mp.fsum(m[i, i] for i in range(m.rows))
 
 
+# covariance bytes and dps -> (mp covariance, Gibbs matrix, ln det), while
+# a _shared_mp_forms() block is open; None outside every block
+_mp_forms_memo: dict | None = None
+
+
+@contextmanager
+def _shared_mp_forms() -> Iterator[dict]:
+    """Share the mp forms of equal covariances between the calls in this block.
+
+    Yields the dict of the forms computed so far; a nested block reuses the
+    dict of the outermost one, which is dropped when that block ends.
+    """
+    global _mp_forms_memo
+    outer = _mp_forms_memo
+    _mp_forms_memo = {} if outer is None else outer
+    try:
+        yield _mp_forms_memo
+    finally:
+        _mp_forms_memo = outer
+
+
+def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
+    """The covariance as an mp.matrix, its Gibbs matrix and ln det at ``dps`` digits.
+
+    Keyed by contents, not identity, so a covariance changed in place is
+    decomposed again; a covariance that fails to decompose is not kept.
+    """
+    key = (cov.shape, cov.tobytes(), dps)
+    if _mp_forms_memo is not None and key in _mp_forms_memo:
+        return _mp_forms_memo[key]
+    cov_mp = mp.matrix([[mp.mpf(x) for x in row] for row in cov.tolist()])
+    forms = (cov_mp, *_mp_gibbs_lndet(cov_mp, who))
+    if _mp_forms_memo is not None:
+        _mp_forms_memo[key] = forms
+    return forms
+
+
 def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntResult:
     with mp.workdps(dps):
         n = rho0.modes
-        cov0 = mp.matrix([[mp.mpf(x) for x in row] for row in rho0.cov.tolist()])
-        cov1 = mp.matrix([[mp.mpf(x) for x in row] for row in rho1.cov.tolist()])
-        gibbs0, lndet0 = _mp_gibbs_lndet(cov0)
-        gibbs1, lndet1 = _mp_gibbs_lndet(cov1)
+        cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
+        _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
         delta = mp.matrix([mp.mpf(a) - mp.mpf(b) for a, b in zip(rho0.mean, rho1.mean)])
         quad = (delta.T * gibbs1 * delta)[0]
         d = (lndet1 - lndet0 + _mp_trace(cov0 * (gibbs1 - gibbs0)) + quad) / 2
@@ -208,8 +254,9 @@ def relative_entropy(
 ) -> RelEntResult:
     """Relative entropy D(rho0 || rho1) between Gaussian states.
 
-    rho1 must be strictly mixed. Pass the keyword ``dps`` for an
-    arbitrary-precision evaluation (used by the validation suite at
+    Both states must be strictly mixed: a pure mode in either raises
+    ValueError naming the state and the mode index. Pass the keyword ``dps``
+    for an arbitrary-precision evaluation (used by the validation suite at
     parameter corners where the result is a deep cancellation).
     """
     if rho0.modes != rho1.modes:

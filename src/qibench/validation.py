@@ -44,7 +44,7 @@ from .protocols import (
     hypothesis_pair,
     hypothesis_pair_via_channels,
 )
-from .relent import relative_entropy, roc_asymmetric
+from .relent import _shared_mp_forms, relative_entropy, roc_asymmetric
 from .special import erfc, erfc_inv, normal_quantile
 
 QRE_ORACLE_DPS = 50
@@ -147,25 +147,34 @@ def check_qcb_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
 
 
 def check_qre_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
-    """Closed-form (D, V) vs the general relative entropy at high precision."""
+    """Closed-form (D, V) vs the general relative entropy at high precision.
+
+    Each distinct covariance of the grid is decomposed once: the combos share
+    a few thermal backgrounds and many return states.
+    """
     combos = benchmark_combos() if combos is None else combos
     if not combos:
         raise ValueError("equivalence check requires a non-empty scenario grid")
     worst = 0.0
     worst_label = ""
-    for scenario in combos:
-        pair = hypothesis_pair(scenario)
-        oracle = relative_entropy(pair.rho0, pair.rho1, dps=QRE_ORACLE_DPS)
-        d_closed, v_closed = cf.closed_qre(scenario)
-        dev = max(_rel_dev(d_closed, oracle.d), _rel_dev(v_closed, oracle.v))
-        if dev > worst:
-            worst, worst_label = dev, scenario.label
+    with _shared_mp_forms() as forms:
+        for scenario in combos:
+            pair = hypothesis_pair(scenario)
+            oracle = relative_entropy(pair.rho0, pair.rho1, dps=QRE_ORACLE_DPS)
+            d_closed, v_closed = cf.closed_qre(scenario)
+            dev = max(_rel_dev(d_closed, oracle.d), _rel_dev(v_closed, oracle.v))
+            if dev > worst:
+                worst, worst_label = dev, scenario.label
+        decomposed = len(forms)
     return CheckResult(
         name="qre_closed_vs_oracle",
         passed=worst <= 1e-8,
         metric=worst,
         threshold=1e-8,
-        detail=f"{len(combos)} combos at dps={QRE_ORACLE_DPS}, worst at {worst_label}",
+        detail=(
+            f"{len(combos)} combos, {decomposed} covariances decomposed at "
+            f"dps={QRE_ORACLE_DPS}, worst at {worst_label}"
+        ),
     )
 
 

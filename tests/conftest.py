@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qibench import relent
 from qibench.validation import random_physical_cov
 
 
@@ -17,3 +18,17 @@ def random_cov():
         return random_physical_cov(rng, modes)
 
     return make
+
+
+@pytest.fixture
+def mp_decompositions(monkeypatch):
+    """List that grows by one entry per mp Gibbs decomposition."""
+    calls = []
+    decompose = relent._mp_gibbs_lndet
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(relent, "_mp_gibbs_lndet", counting)
+    return calls

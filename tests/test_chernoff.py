@@ -190,17 +190,19 @@ def test_batched_evaluation_matches_single_points(rng, random_cov, modes):
 )
 def test_qcb_batches_its_search(monkeypatch, rho0, rho1):
     # counts evaluator calls, not time; a serial search makes one per s-point (33 and more)
-    sizes = []
+    grids = []
     evaluate = chernoff._evaluate
 
     def counting(pair, s):
-        sizes.append(s.size)
+        grids.append(s)
         return evaluate(pair, s)
 
     monkeypatch.setattr(chernoff, "_evaluate", counting)
     bound = qcb(rho0, rho1)
-    assert len(sizes) <= 10
-    assert bound.evaluations == sum(sizes)
+    assert len(grids) <= 10
+    assert bound.evaluations == sum(s.size for s in grids)
+    # one single-point evaluation, at s*: s = 1/2 comes from the first scan
+    assert [s.size for s in grids].count(1) == 1
     assert 0.0 < bound.s_bracket < 1e-6
 
 

@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qibench.gaussian import GaussianState, make_thermal
+from qibench import relent
+from qibench.gaussian import GaussianState, make_coherent, make_thermal
 from qibench.relent import (
     gibbs_matrix,
     pmd_second_order,
@@ -117,13 +118,25 @@ def test_relative_entropy_mp_path_agrees_with_float():
 
 
 def test_relative_entropy_errors():
-    with pytest.raises(ValueError):
-        relative_entropy(make_thermal(1.0), make_thermal(0.0))  # pure rho1
     two_mode = GaussianState(2, np.zeros(4), 0.7 * np.eye(4))
     with pytest.raises(ValueError):
         relative_entropy(make_thermal(1.0), two_mode)
     with pytest.raises(TypeError):  # dps is keyword-only
         relative_entropy(make_thermal(1.0), make_thermal(2.0), 50)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+def test_relative_entropy_rejects_pure_states(dps):
+    # either state pure: the error names the state and the mode index
+    with pytest.raises(ValueError, match=r"rho0 has symplectic eigenvalue 0\.5\d* at mode index 0"):
+        relative_entropy(make_coherent(0.1), make_thermal(1.0), dps=dps)
+    with pytest.raises(ValueError, match=r"rho1 has symplectic eigenvalue 0\.5\d* at mode index 0"):
+        relative_entropy(make_thermal(1.0), make_thermal(0.0), dps=dps)
+    # modes are indexed by descending symplectic eigenvalue
+    mixed_pure = GaussianState(2, np.zeros(4), np.diag([0.5, 0.5, 2.0, 2.0]))
+    mixed = GaussianState(2, np.zeros(4), 1.5 * np.eye(4))
+    with pytest.raises(ValueError, match="rho0 has .* at mode index 1"):
+        relative_entropy(mixed_pure, mixed, dps=dps)
 
 
 def test_relative_entropy_nonnegative_and_faithful():
@@ -191,3 +204,53 @@ def test_roc_grid_validation():
         roc_asymmetric(state, state, 10, grid=[0.5, 1.5])
     with pytest.raises(ValueError):
         roc_asymmetric(state, state, 10, grid=[])
+
+
+def _fields(res):
+    return res.d, res.v, res.gibbs0.tobytes(), res.gibbs1.tobytes()
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_shared_mp_forms_change_no_bits(mp_decompositions, rng, random_cov, modes):
+    a, b, c = (
+        GaussianState(modes, rng.normal(size=2 * modes), random_cov(rng, modes)) for _ in range(3)
+    )
+    # pairs that share covariances, in both roles
+    pairs = [(a, b), (b, a), (a, c), (c, b), (a, a)]
+    outside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    mp_decompositions.clear()
+    with relent._shared_mp_forms():
+        inside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+        assert inside == outside
+        assert len(mp_decompositions) == 3
+
+        # a covariance changed in place is decomposed again
+        c.cov *= 1.5
+        mutated = _fields(relative_entropy(a, c, dps=50))
+        assert len(mp_decompositions) == 4
+    assert mutated != outside[2]
+    assert mutated == _fields(relative_entropy(a, c, dps=50))
+
+
+def test_shared_mp_forms_nest_and_end(mp_decompositions):
+    calls = mp_decompositions
+    rho0, rho1 = make_thermal(1.0), displaced_thermal_state(2.0, 0.3)
+    with relent._shared_mp_forms() as outer:
+        relative_entropy(rho0, rho1, dps=30)
+        with relent._shared_mp_forms() as inner:
+            assert inner is outer
+            relative_entropy(rho1, rho0, dps=30)
+        # the inner block's end keeps the outer forms
+        relative_entropy(rho0, rho1, dps=30)
+        assert len(calls) == 2
+        # the precision is part of the key
+        relative_entropy(rho0, rho1, dps=40)
+        assert len(calls) == 4
+        # a failed decomposition is not kept
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                relative_entropy(make_coherent(0.1), rho1, dps=30)
+        assert len(outer) == 4
+    # outside every block each call decomposes both states
+    relative_entropy(rho0, rho0, dps=30)
+    assert len(calls) == 8

@@ -5,6 +5,7 @@ import pytest
 import qibench.closed_forms as closed_forms
 from qibench.chernoff import BoundResult
 from qibench.closed_forms import closed_bound, closed_qre
+from qibench.protocols import hypothesis_pair
 from qibench.validation import (
     benchmark_combos,
     check_qcb_equivalence,
@@ -25,6 +26,21 @@ def test_equivalence_checks_pass_on_quick_grid():
     combos = benchmark_combos(quick=True)
     assert check_qcb_equivalence(combos).passed
     assert check_qre_equivalence(combos).passed
+
+
+@pytest.mark.parametrize("quick, distinct", [(False, 48), (True, 30)])
+def test_qre_check_decomposes_each_covariance_once(mp_decompositions, quick, distinct):
+    combos = benchmark_combos(quick=quick)
+    covs = set()
+    for scenario in combos:
+        pair = hypothesis_pair(scenario)
+        covs.update({pair.rho0.cov.tobytes(), pair.rho1.cov.tobytes()})
+    assert len(covs) == distinct
+    for _ in range(2):  # nothing outlives the call
+        mp_decompositions.clear()
+        result = check_qre_equivalence(combos)
+        assert len(mp_decompositions) == distinct
+        assert f"{len(combos)} combos, {distinct} covariances decomposed at dps=50" in result.detail
 
 
 def test_empty_grid_rejected():
