@@ -45,7 +45,15 @@ def _load_scenario(path: str) -> Scenario:
         raise ValueError(f"malformed scenario file {path}: {exc}") from exc
 
 
-def _report(payload: dict) -> None:
+def _report(scenario: Scenario, results: list[dict], report_warnings: list[str], start: float) -> None:
+    """Print the JSON report of one `bound` or `roc` run."""
+    payload = {
+        "tool_version": __version__,
+        "scenario": scenario.to_dict(),
+        "results": results,
+        "warnings": report_warnings,
+        "wall_time_s": time.perf_counter() - start,
+    }
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
@@ -102,15 +110,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         rows.append({"scenario": scenario.label, "method": "agreement", "exponent_rel_dev": dev})
         if dev > 1e-6:
             report_warnings.append(f"closed/oracle exponent deviation {dev:.3e} exceeds 1e-6")
-    _report(
-        {
-            "tool_version": __version__,
-            "scenario": scenario.to_dict(),
-            "results": rows,
-            "warnings": report_warnings,
-            "wall_time_s": time.perf_counter() - start,
-        }
-    )
+    _report(scenario, rows, report_warnings, start)
     return 0
 
 
@@ -124,6 +124,13 @@ def _grid(args: argparse.Namespace, default: np.ndarray) -> np.ndarray:
     if not 0 < lo < hi or points < 2:
         raise ValueError("grid must satisfy 0 < min < max with at least 2 points")
     return np.geomspace(lo, hi, points)
+
+
+# detector -> (default grid, its key in a figure manifest)
+_ROC_GRIDS = {
+    "optimal": (DEFAULT_EPSILON_GRID, "epsilon_grid"),
+    "homodyne": (DEFAULT_PFA_GRID, "p_fa_grid"),
+}
 
 
 def _roc_rows(scenario: Scenario, detector: str, grid: np.ndarray) -> tuple[list[tuple], dict]:
@@ -153,7 +160,7 @@ def _write_csv(path: Path, header: str, rows: list[tuple]) -> str:
 def cmd_roc(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     scenario = _load_scenario(args.scenario)
-    grid = _grid(args, DEFAULT_PFA_GRID if args.detector == "homodyne" else DEFAULT_EPSILON_GRID)
+    grid = _grid(args, _ROC_GRIDS[args.detector][0])
     rows, meta = _roc_rows(scenario, args.detector, grid)
     report_warnings = []
     if meta.get("clamped_points"):
@@ -164,29 +171,21 @@ def cmd_roc(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"roc_{scenario.label}_{args.detector}.csv"
     digest = _write_csv(csv_path, "p_fa,p_md,scenario,method", rows)
-    _report(
-        {
-            "tool_version": __version__,
-            "scenario": scenario.to_dict(),
-            "results": [
-                {
-                    "scenario": scenario.label,
-                    "method": rows[0][3],
-                    "csv": str(csv_path),
-                    "sha256": digest,
-                    "points": len(rows),
-                    "meta": meta,
-                }
-            ],
-            "warnings": report_warnings,
-            "wall_time_s": time.perf_counter() - start,
-        }
-    )
+    result = {
+        "scenario": scenario.label,
+        "method": rows[0][3],
+        "csv": str(csv_path),
+        "sha256": digest,
+        "points": len(rows),
+        "meta": meta,
+    }
+    _report(scenario, [result], report_warnings, start)
     return 0
 
 
-def _figure_payload(figure_id: str, args: argparse.Namespace) -> tuple[str, list[tuple], dict]:
-    scenarios = figure_grid(figure_id)
+def _figure_payload(
+    figure_id: str, scenarios: list[Scenario], args: argparse.Namespace
+) -> tuple[str, list[tuple], dict]:
     if figure_id.startswith("fig2"):
         sweep = _grid(args, DEFAULT_COPIES_SWEEP)
         if sweep[-1] >= 2.0**63:
@@ -201,38 +200,31 @@ def _figure_payload(figure_id: str, args: argparse.Namespace) -> tuple[str, list
                 rows.append((int(m), value, scenario.label, "qcb_closed"))
         header = "m,p_err,scenario,method"
         params = {"m_grid": [int(m) for m in copies]}
-    elif figure_id.startswith("fig3"):
-        grid = _grid(args, DEFAULT_EPSILON_GRID)
-        rows = []
-        for scenario in scenarios:
-            rows.extend(_roc_rows(scenario, "optimal", grid)[0])
-        header = "p_fa,p_md,scenario,method"
-        params = {"epsilon_grid": {"min": float(grid[0]), "max": float(grid[-1]), "points": len(grid)}}
     else:
-        grid = _grid(args, DEFAULT_PFA_GRID)
+        detector = "optimal" if figure_id.startswith("fig3") else "homodyne"
+        default, key = _ROC_GRIDS[detector]
+        grid = _grid(args, default)
         rows = []
         for scenario in scenarios:
-            rows.extend(_roc_rows(scenario, "homodyne", grid)[0])
+            rows.extend(_roc_rows(scenario, detector, grid)[0])
         header = "p_fa,p_md,scenario,method"
-        params = {"p_fa_grid": {"min": float(grid[0]), "max": float(grid[-1]), "points": len(grid)}}
+        params = {key: {"min": float(grid[0]), "max": float(grid[-1]), "points": len(grid)}}
     return header, rows, params
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     figure_id = args.figure
-    if figure_id not in FIGURE_IDS:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
+    # both raise ValueError (unknown id, bad grid) before anything is written
+    scenarios = figure_grid(figure_id)
+    header, rows, params = _figure_payload(figure_id, scenarios, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenarios = figure_grid(figure_id)
-
     if args.dump_scenarios:
         for scenario in scenarios:
             (out_dir / f"{figure_id}_{scenario.label}.json").write_text(
                 scenario.to_json(), encoding="utf-8", newline="\n"
             )
 
-    header, rows, params = _figure_payload(figure_id, args)
     csv_path = out_dir / f"{figure_id}.csv"
     digest = _write_csv(csv_path, header, rows)
     manifest = {
@@ -272,27 +264,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"qibench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    grid_options = argparse.ArgumentParser(add_help=False)
+    grid_options.add_argument("--grid-min", type=float, default=None)
+    grid_options.add_argument("--grid-max", type=float, default=None)
+    grid_options.add_argument("--grid-points", type=int, default=None)
+    grid_options.add_argument("--out", default="out", help="output directory")
 
     p_bound = sub.add_parser("bound", help="symmetric error bound for one scenario")
     p_bound.add_argument("--scenario", required=True, help="scenario JSON file")
     p_bound.add_argument("--method", choices=("closed", "oracle", "both"), default="both")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_roc = sub.add_parser("roc", help="ROC curve for one scenario")
+    p_roc = sub.add_parser("roc", parents=[grid_options], help="ROC curve for one scenario")
     p_roc.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_roc.add_argument("--detector", choices=("optimal", "homodyne"), default="optimal")
-    p_roc.add_argument("--grid-min", type=float, default=None)
-    p_roc.add_argument("--grid-max", type=float, default=None)
-    p_roc.add_argument("--grid-points", type=int, default=None)
-    p_roc.add_argument("--out", default="out", help="output directory for the CSV")
+    p_roc.add_argument("--detector", choices=tuple(_ROC_GRIDS), default="optimal")
     p_roc.set_defaults(func=cmd_roc)
 
-    p_fig = sub.add_parser("figure", help="regenerate the data behind one published figure")
+    p_fig = sub.add_parser(
+        "figure", parents=[grid_options], help="regenerate the data behind one published figure"
+    )
     p_fig.add_argument("figure", help=f"one of {', '.join(FIGURE_IDS)}")
-    p_fig.add_argument("--out", default="out", help="output directory")
-    p_fig.add_argument("--grid-min", type=float, default=None)
-    p_fig.add_argument("--grid-max", type=float, default=None)
-    p_fig.add_argument("--grid-points", type=int, default=None)
     p_fig.add_argument("--dump-scenarios", action="store_true", help="also write per-scenario JSON files")
     p_fig.set_defaults(func=cmd_figure)
 

@@ -175,21 +175,18 @@ def make_thermal(n_bar: float) -> GaussianState:
     return GaussianState(1, np.zeros(2), (n_bar + 0.5) * np.eye(2))
 
 
-def apply_amplifier(state: GaussianState, gain: float, rescale_input: bool = True) -> GaussianState:
-    """Phase-preserving quantum-limited amplifier on a single mode.
+def apply_amplifier(state: GaussianState, gain: float) -> GaussianState:
+    """Phase-preserving quantum-limited amplifier on a single mode, input rescaled.
 
     The quadrature map is x -> sqrt(g) x + sqrt(g - 1) x_idler with a
-    vacuum idler. With rescale_input the input is first divided by sqrt(g),
-    leaving the mean unchanged and adding (g - 1)/2 noise per quadrature.
+    vacuum idler, applied to the input divided by sqrt(g): the mean is
+    unchanged and (g - 1)/2 noise is added per quadrature.
     """
     if gain < 1.0:
         raise ValueError("amplifier gain must be >= 1")
     if state.modes != 1:
         raise ValueError("amplifier acts on a single mode")
-    added = (gain - 1.0) * 0.5 * np.eye(2)
-    if rescale_input:
-        return GaussianState(1, state.mean.copy(), state.cov + added)
-    return GaussianState(1, math.sqrt(gain) * state.mean, gain * state.cov + added)
+    return GaussianState(1, state.mean.copy(), state.cov + (gain - 1.0) * 0.5 * np.eye(2))
 
 
 def amplified_source(n_s: float, n_a: float) -> GaussianState:

@@ -237,7 +237,7 @@ def hypothesis_pair_via_channels(scenario: Scenario) -> HypothesisPair:
     if scenario.kind == AMPLIFIED:
         source = make_coherent(scenario.n_s)
         if scenario.n_a > 0.0:
-            source = apply_amplifier(source, gain=1.0 + 2.0 * scenario.n_a, rescale_input=True)
+            source = apply_amplifier(source, gain=1.0 + 2.0 * scenario.n_a)
     elif scenario.kind == MASER:
         # any proper splitting ratio realizes the same output state; use the
         # scenario's own phi where it is a true splitter, 1/2 otherwise

@@ -14,11 +14,15 @@ identical formulas in mpmath arbitrary precision. A check that evaluates
 many pairs at one ``dps`` wraps its loop in ``_shared_mp_forms()``: inside
 that block each distinct covariance is converted and decomposed once, and
 the forms are dropped when the block ends.
+
+A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
+matrix of one state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -47,8 +51,6 @@ class RelEntResult:
 
     d: float
     v: float
-    gibbs0: np.ndarray
-    gibbs1: np.ndarray
 
 
 @dataclass
@@ -129,15 +131,7 @@ def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState) -> RelEntResult:
         + 0.125 * float(np.trace(go @ go))
         + float(delta @ gibbs1 @ rho0.cov @ gibbs1 @ delta)
     )
-    return RelEntResult(d=d, v=_clamp_nonneg(v, "relative entropy variance"), gibbs0=gibbs0, gibbs1=gibbs1)
-
-
-def _mp_omega(n: int) -> mp.matrix:
-    omega = mp.zeros(2 * n, 2 * n)
-    for k in range(n):
-        omega[2 * k, 2 * k + 1] = mp.mpf(1)
-        omega[2 * k + 1, 2 * k] = mp.mpf(-1)
-    return omega
+    return RelEntResult(d=d, v=_clamp_nonneg(v, "relative entropy variance"))
 
 
 def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
@@ -148,37 +142,25 @@ def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
     """
     dim = cov.rows
     n = dim // 2
-    evals, q = mp.eigsy(mp.matrix(cov))
+    evals, q = mp.eigsy(cov)
     if min(evals) <= 0:
         raise ValueError(f"{who} covariance matrix is not positive definite")
-    d_sqrt = mp.zeros(dim, dim)
-    d_isqrt = mp.zeros(dim, dim)
-    for i in range(dim):
-        r = mp.sqrt(evals[i])
-        d_sqrt[i, i] = r
-        d_isqrt[i, i] = 1 / r
-    sqrt_cov = q * d_sqrt * q.T
-    isqrt_cov = q * d_isqrt * q.T
+    roots = [mp.sqrt(x) for x in evals]
+    sqrt_cov = q * mp.diag(roots) * q.T
+    isqrt_cov = q * mp.diag([1 / r for r in roots]) * q.T
 
-    w = sqrt_cov * (mp.mpc(0, 1) * _mp_omega(n)) * sqrt_cov
+    w = sqrt_cov * (mp.mpc(0, 1) * mp.matrix(symplectic_form(n))) * sqrt_cov
     e, u = mp.eighe(w)
-    lndet = mp.mpf(0)
-    phi = mp.zeros(dim, dim)
-    for i in range(dim):
-        nu = abs(e[i])
-        if nu <= mp.mpf(1) / 2:
+    half = mp.mpf(1) / 2
+    nus = [abs(x) for x in e]
+    for i, nu in enumerate(nus):
+        if nu <= half:
             # e ascends from -nu_max to +nu_max; modes are indexed by descending
             # nu, as in williamson
             raise _pure_mode_error(who, float(nu), i if i < n else dim - 1 - i)
-        if e[i] > 0:
-            lndet += mp.log(nu**2 - mp.mpf(1) / 4)
-        phi[i, i] = nu * mp.log((nu + mp.mpf(1) / 2) / (nu - mp.mpf(1) / 2))
-    gibbs_c = isqrt_cov * (u * phi * u.H) * isqrt_cov
-    gibbs = mp.zeros(dim, dim)
-    for i in range(dim):
-        for j in range(dim):
-            gibbs[i, j] = mp.re(gibbs_c[i, j])
-    return gibbs, lndet
+    lndet = sum(mp.log(nu**2 - half**2) for x, nu in zip(e, nus) if x > 0)
+    phi = mp.diag([nu * mp.log((nu + half) / (nu - half)) for nu in nus])
+    return (isqrt_cov * (u * phi * u.H) * isqrt_cov).apply(mp.re), lndet
 
 
 def _mp_trace(m: mp.matrix) -> mp.mpf:
@@ -215,7 +197,7 @@ def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix
     key = (cov.shape, cov.tobytes(), dps)
     if _mp_forms_memo is not None and key in _mp_forms_memo:
         return _mp_forms_memo[key]
-    cov_mp = mp.matrix([[mp.mpf(x) for x in row] for row in cov.tolist()])
+    cov_mp = mp.matrix(cov)
     forms = (cov_mp, *_mp_gibbs_lndet(cov_mp, who))
     if _mp_forms_memo is not None:
         _mp_forms_memo[key] = forms
@@ -224,28 +206,23 @@ def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix
 
 def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntResult:
     with mp.workdps(dps):
-        n = rho0.modes
         cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
         _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
-        delta = mp.matrix([mp.mpf(a) - mp.mpf(b) for a, b in zip(rho0.mean, rho1.mean)])
-        quad = (delta.T * gibbs1 * delta)[0]
+        delta = mp.matrix(rho0.mean) - mp.matrix(rho1.mean)
+        g1_delta = gibbs1 * delta
+        quad = (delta.T * g1_delta)[0]
         d = (lndet1 - lndet0 + _mp_trace(cov0 * (gibbs1 - gibbs0)) + quad) / 2
         gamma = gibbs0 - gibbs1
-        omega = _mp_omega(n)
         gv = gamma * cov0
-        go = gamma * omega
+        go = gamma * mp.matrix(symplectic_form(rho0.modes))
         v = (
             _mp_trace(gv * gv) / 2
             + _mp_trace(go * go) / 8
-            + (delta.T * (gibbs1 * cov0 * gibbs1) * delta)[0]
+            + (g1_delta.T * cov0 * g1_delta)[0]
         )
-        g0f = np.array([[float(gibbs0[i, j]) for j in range(2 * n)] for i in range(2 * n)])
-        g1f = np.array([[float(gibbs1[i, j]) for j in range(2 * n)] for i in range(2 * n)])
         return RelEntResult(
             d=_clamp_nonneg(float(d), "relative entropy"),
             v=_clamp_nonneg(float(v), "relative entropy variance"),
-            gibbs0=g0f,
-            gibbs1=g1f,
         )
 
 
@@ -266,6 +243,14 @@ def relative_entropy(
     return _rel_ent_f64(rho0, rho1)
 
 
+def _check_rates(d: float, v: float, copies: int) -> None:
+    """Reject rates and copy counts outside the second-order form's domain."""
+    if not (math.isfinite(d) and math.isfinite(v) and d >= 0 and v >= 0):
+        raise ValueError(f"d and v must be finite and non-negative, got d={d!r}, v={v!r}")
+    if not (isinstance(copies, numbers.Real) and float(copies).is_integer() and copies >= 1):
+        raise ValueError(f"copies must be a whole number >= 1, got {copies!r}")
+
+
 def _pmd_raw(d: float, v: float, copies: int, epsilon: float) -> tuple[float, bool]:
     exponent = copies * d + math.sqrt(copies * v) * normal_quantile(epsilon)
     if exponent < 0.0:
@@ -280,10 +265,7 @@ def pmd_second_order(d: float, v: float, copies: int, epsilon: float) -> float:
     The O(log M) and O(1) corrections of the expansion are set to zero; the
     result is clamped to [0, 1].
     """
-    if d < 0 or v < 0:
-        raise ValueError("d and v must be non-negative")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    _check_rates(d, v, copies)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     return _pmd_raw(d, v, copies, epsilon)[0]
@@ -294,6 +276,7 @@ DEFAULT_EPSILON_GRID = np.geomspace(1e-4, 0.9, 60)
 
 def roc_from_rates(d: float, v: float, copies: int, grid: Sequence[float] | None = None) -> RocCurve:
     """ROC curve (eps, P_md(eps)) for given decay rate d and variance v."""
+    _check_rates(d, v, copies)
     eps = np.sort(np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float))
     if eps.size == 0:
         raise ValueError("epsilon grid is empty")

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import closed_forms as cf
 from .chernoff import qbb
@@ -323,10 +322,21 @@ def check_special_functions() -> CheckResult:
 
 
 def random_physical_cov(rng: np.random.Generator, modes: int) -> np.ndarray:
-    """Random physical covariance matrix S diag(nu) S^T with symplectic S."""
-    h = rng.normal(size=(2 * modes, 2 * modes))
-    h = 0.4 * (h + h.T) / 2.0
-    s = sla.expm(symplectic_form(modes) @ h)
+    """Random physical covariance matrix S diag(nu) S^T with symplectic S.
+
+    S = O1 Z O2 as in the Bloch-Messiah decomposition: Z is one squeezer
+    diag(e^r, e^-r) per mode, and each passive map O is the orthogonal
+    symplectic form of a unitary U from the QR of a complex Gaussian matrix
+    (q -> Re U q - Im U p, p -> Im U q + Re U p).
+    """
+    z = rng.normal(size=(2, 2, modes, modes))
+    u = np.linalg.qr(z[0] + 1j * z[1])[0]
+    o = np.empty((2, 2 * modes, 2 * modes))
+    o[:, 0::2, 0::2] = o[:, 1::2, 1::2] = u.real
+    o[:, 0::2, 1::2] = -u.imag
+    o[:, 1::2, 0::2] = u.imag
+    r = rng.normal(0.0, 0.4, size=modes)
+    s = o[0] * np.exp(np.outer(r, [1.0, -1.0]).ravel()) @ o[1]
     nus = 0.5 + rng.uniform(0.0, 8.0, size=modes)
     return s @ np.diag(np.repeat(nus, 2)) @ s.T
 

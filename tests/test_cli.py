@@ -104,8 +104,11 @@ def test_roc_optimal_detector(amp_scenario, tmp_path, capsys):
     assert row["meta"]["d"] > 0
 
 
-def test_figure_unknown_id(capsys):
-    assert main(["figure", "fig9_upper"]) == 2
+def test_figure_unknown_id(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["figure", "fig9_upper", "--out", str(out)]) == 2
+    assert "unknown figure id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_outputs_are_byte_identical(tmp_path, capsys):
@@ -208,8 +211,10 @@ def test_figure_homodyne_subnormal_grid(tmp_path, capsys):
 @pytest.mark.parametrize("bound", ["--grid-min", "--grid-max"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_figure_rejects_non_finite_grid(bound, value, tmp_path, capsys):
-    assert main(["figure", "fig2_upper", bound, value, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["figure", "fig2_upper", bound, value, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_rejects_copies_beyond_int64(tmp_path, capsys):
@@ -244,6 +249,8 @@ from qibench import figure_grid, hypothesis_pair, qbb
 pair = hypothesis_pair(figure_grid("fig2_upper")[0])
 qbb(pair.rho0, pair.rho1, 10)
 seen["qbb"] = [m for m in HEAVY if m in sys.modules]
+qibench.cli.main(["validate", "--quick"])
+seen["validate"] = [m for m in HEAVY if m in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -261,3 +268,5 @@ def test_heavy_dependencies_load_on_first_use(tmp_path):
     assert seen["fig2_upper"] == []
     assert seen["fig4_upper"] == ["scipy.special._ufuncs"]
     assert seen["qbb"] == ["scipy.special._ufuncs"]
+    # the package itself never loads scipy.linalg
+    assert seen["validate"] == ["scipy.special._ufuncs", "mpmath.libmp"]

@@ -60,24 +60,14 @@ def test_state_validation():
 
 def test_amplifier_identity_at_unit_gain():
     state = make_coherent(0.3)
-    for rescale in (True, False):
-        out = apply_amplifier(state, 1.0, rescale_input=rescale)
-        assert np.allclose(out.mean, state.mean)
-        assert np.allclose(out.cov, state.cov)
-
-
-def test_amplifier_quadrature_map_on_vacuum():
-    # oracle: Var(sqrt(g) x + sqrt(g-1) x_A) = g/2 + (g-1)/2 on vacuum inputs
-    gain = 2.0
-    expected = gain * 0.5 + (gain - 1.0) * 0.5
-    out = apply_amplifier(make_thermal(0.0), gain, rescale_input=False)
-    assert np.allclose(out.cov, expected * np.eye(2))
-    assert np.allclose(out.mean, 0.0)
+    out = apply_amplifier(state, 1.0)
+    assert np.allclose(out.mean, state.mean)
+    assert np.allclose(out.cov, state.cov)
 
 
 def test_amplifier_rescaled_adds_half_gain_noise():
     state = make_coherent(1e-2)
-    out = apply_amplifier(state, 3.0, rescale_input=True)
+    out = apply_amplifier(state, 3.0)
     assert np.allclose(out.mean, state.mean)
     assert np.allclose(out.cov, (0.5 + 1.0) * np.eye(2))
 
@@ -124,7 +114,7 @@ def test_source_chain_reproduces_return_state():
     # coherent -> amplifier adding N_A -> beamsplitter against N_B/(1-eta)
     # must land on mean (sqrt(2 eta N_S), 0) and cov (1/2 + eta N_A + N_B) I
     n_s, n_a, n_b, eta = 1e-2, 6250.0, 6250.0, 1e-2
-    source = apply_amplifier(make_coherent(n_s), gain=1.0 + 2.0 * n_a, rescale_input=True)
+    source = apply_amplifier(make_coherent(n_s), gain=1.0 + 2.0 * n_a)
     out = apply_beamsplitter(source, eta, make_thermal(n_b / (1.0 - eta)))
     expected_cov = (0.5 + eta * n_a + n_b) * np.eye(2)
     assert np.abs(out.cov - expected_cov).max() / expected_cov.max() < 1e-12

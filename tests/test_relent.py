@@ -6,12 +6,15 @@ import pytest
 
 from qibench import relent
 from qibench.gaussian import GaussianState, make_coherent, make_thermal
+from qibench.protocols import hypothesis_pair
 from qibench.relent import (
     gibbs_matrix,
     pmd_second_order,
     relative_entropy,
     roc_asymmetric,
+    roc_from_rates,
 )
+from qibench.validation import benchmark_combos
 from test_chernoff import displaced_thermal_fock, displaced_thermal_state
 
 
@@ -168,8 +171,29 @@ def test_pmd_second_order_domain():
         pmd_second_order(1e-2, 1e-2, 10, 0.0)
     with pytest.raises(ValueError):
         pmd_second_order(1e-2, 1e-2, 10, 1.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [roc_from_rates, lambda d, v, copies: pmd_second_order(d, v, copies, 0.5)],
+    ids=["roc_from_rates", "pmd_second_order"],
+)
+@pytest.mark.parametrize(
+    "d, v, copies",
+    [
+        (0.1, 0.1, 0),
+        (-0.1, 0.1, 10),
+        (0.1, -0.1, 10),
+        (math.nan, 0.1, 10),
+        (0.1, math.nan, 10),
+        (math.inf, 0.1, 10),
+        (0.1, 0.1, 2.5),
+        (0.1, 0.1, math.inf),
+    ],
+)
+def test_rates_and_copies_are_checked(evaluate, d, v, copies):
     with pytest.raises(ValueError):
-        pmd_second_order(-1e-3, 1e-2, 10, 0.5)
+        evaluate(d, v, copies)
 
 
 def test_pmd_doubling_copies_squares_median_point():
@@ -207,7 +231,7 @@ def test_roc_grid_validation():
 
 
 def _fields(res):
-    return res.d, res.v, res.gibbs0.tobytes(), res.gibbs1.tobytes()
+    return res.d, res.v
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -254,3 +278,32 @@ def test_shared_mp_forms_nest_and_end(mp_decompositions):
     # outside every block each call decomposes both states
     relative_entropy(rho0, rho0, dps=30)
     assert len(calls) == 8
+
+
+def _two_mode_pair():
+    cov0 = [[2.0, 0.3, 0.5, 0.0], [0.3, 1.5, 0.0, -0.4], [0.5, 0.0, 2.5, 0.2], [0.0, -0.4, 0.2, 1.8]]
+    cov1 = [[3.0, -0.2, 0.0, 0.6], [-0.2, 1.2, 0.1, 0.0], [0.0, 0.1, 1.4, -0.3], [0.6, 0.0, -0.3, 2.2]]
+    return GaussianState(2, [0.1, -0.2, 0.0, 0.3], cov0), GaussianState(2, [0.0, 0.4, -0.1, 0.0], cov1)
+
+
+# dps=50 (D, V) as exact floats: the mp path is the oracle behind
+# qre_closed_vs_oracle, so a rewrite of it must not move a single bit. The
+# first combo is that check's worst, the second the worst f64 corner.
+PINNED_ORACLE = {
+    "mas_eta1e-08_ns0.001_nt6250_nb6250": (8.499279998245252e-16, 1.6998559863976177e-15),
+    "mas_eta1e-08_ns0.001_nt207.9_nb6250": (7.999913224097909e-16, 1.5999826476999324e-15),
+    "amp_eta1e-06_ns0.1_na5e+08_nb1": (4.834299777378105, 0.9553853865566763),
+    "amp_eta0.01_ns1_na6250_nb100": (0.10021959481650616, 0.14709970379281861),
+    "two_mode": (0.5342008321060592, 1.5683708795007332),
+}
+
+
+@pytest.mark.parametrize("label", PINNED_ORACLE)
+def test_mp_oracle_is_pinned(label):
+    if label == "two_mode":
+        rho0, rho1 = _two_mode_pair()
+    else:
+        pair = hypothesis_pair(next(s for s in benchmark_combos() if s.label == label))
+        rho0, rho1 = pair.rho0, pair.rho1
+    res = relative_entropy(rho0, rho1, dps=50)
+    assert (res.d, res.v) == PINNED_ORACLE[label]
