@@ -13,20 +13,27 @@ exponent carries no extra factor 1/2 in this convention; the expression is
 validated against pure-state overlaps, thermal-state spectral sums and
 Fock-space numerics in the test suite.
 
-The work is split in two steps. Preparing a pair (``_prepare``) runs the two
-Williamson decompositions, the physicality check and the pure-mode clamp,
-takes the s-independent functions of the symplectic eigenvalues and forms d.
-Evaluating (``_evaluate``) takes an array of s and handles all of it in one
-numpy pass: ln det Pi_s from elementwise functions of s and nu, Sigma_s as a
-stack of matrices, then a stacked Cholesky factorization Sigma_s = L L^T:
-ln det Sigma_s comes from the diagonal of L and the displacement term is
-|L^{-1} d|^2. ``s_overlap`` and ``qbb`` prepare once and evaluate a
-one-element array; ``qcb`` prepares once and evaluates a grid of s per step
-of its search.
+The work is split in two steps. Preparing a pair (``_prepare``) looks up
+the spectrum of each covariance: its Williamson decomposition, physicality
+check and pure-mode clamp, the s-independent functions ln(nu + 1/2) and
+theta = artanh(1/(2 nu)) of each symplectic eigenvalue, and the per-mode
+projector P_k = S_k S_k^T of the symplectic column pair of mode k. The
+spectra of the last 8 covariances are cached by content, so ``qbb`` and
+``qcb`` on one pair decompose each state once between them; the cached
+arrays are read-only. The pair joins the two spectra into one list of modes
+and forms d. Evaluating (``_evaluate``) takes an array of s and handles all
+of it in one numpy pass: every mode takes the power s (rho0) or 1 - s (rho1),
+ln det Pi_s is a sum of elementwise functions of that power and nu, and
+Sigma_s = sum_k coth(t_k theta_k) P_k is one weighted sum over all modes of
+both states. A stacked Cholesky factorization Sigma_s = L L^T then gives
+ln det Sigma_s from the diagonal of L and the displacement term as
+|L^{-1} d|^2. ``s_overlap`` and ``qbb`` evaluate a one-element array;
+``qcb`` evaluates a grid of s per step of its search.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +48,11 @@ _SCAN_POINTS = 33
 # the search grid on [-1, 1], scaled onto each bracket; an odd point count
 # puts its middle point exactly at the centre, so the first scan has s = 1/2
 _UNIT_GRID = np.linspace(-1.0, 1.0, _SCAN_POINTS)
+_MID = _SCAN_POINTS // 2
+_OFF_MID = np.arange(_SCAN_POINTS) != _MID
+# covariances whose spectra are kept: enough for the pairs of one operation
+# (qbb and qcb of one pair), far fewer than the distinct states of a sweep
+_SPECTRUM_CACHE_SIZE = 8
 
 
 @dataclass
@@ -92,36 +104,66 @@ class BoundResult:
         return 0.0 - math.log(self.per_mode_overlap)
 
 
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _cached_spectrum(dim: int, cov_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    w = williamson(np.frombuffer(cov_bytes).reshape(dim, dim))
+    if not w.physical:
+        raise ValueError("s_overlap requires physical states")
+    nu = np.maximum(w.nus, _NU_CLAMP)
+    # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
+    # 2k + 1, formed elementwise and so exactly symmetric
+    cols = w.S.T.reshape(-1, 2, dim)
+    arrays = (np.log(nu + 0.5), np.arctanh(0.5 / nu), (cols[:, :, :, None] * cols[:, :, None, :]).sum(axis=1))
+    for a in arrays:
+        a.flags.writeable = False
+    return (*arrays, bool(w.nus.min() < _NU_CLAMP))
+
+
+def _spectrum(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """ln(nu + 1/2), theta, the per-mode projectors and the clamp flag of a covariance.
+
+    Cached by content, not identity: an equal copy is a hit and a covariance
+    changed in place is decomposed again. An unphysical covariance raises
+    ValueError on every call, since exceptions are not cached.
+    """
+    return _cached_spectrum(cov.shape[0], cov.tobytes())
+
+
 @dataclass(frozen=True)
 class _PreparedPair:
     """The s-independent part of the s-overlap of one pair of states.
 
-    ``spectra`` holds, for each state, ln(nu + 1/2) and theta = artanh(1/(2 nu))
-    of its clamped symplectic eigenvalues, so that (nu - 1/2)/(nu + 1/2) =
-    exp(-2 theta), and the symplectic matrix of its Williamson form.
+    The modes of rho0 come first, then those of rho1, and ``of_rho0`` marks
+    the first. Per mode, ``ln_top`` is ln(nu + 1/2) and ``theta`` is
+    artanh(1/(2 nu)) of its clamped symplectic eigenvalue, so that
+    (nu - 1/2)/(nu + 1/2) = exp(-2 theta), and ``projectors`` holds its
+    P_k = S_k S_k^T. The per-state parts come from the spectrum cache.
     """
 
     modes: int
-    spectra: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    ln_top: np.ndarray
+    theta: np.ndarray
+    projectors: np.ndarray
+    of_rho0: np.ndarray
     d: np.ndarray
     clamped: bool
 
 
 def _prepare(rho0: GaussianState, rho1: GaussianState) -> _PreparedPair:
-    """Williamson forms, pure-mode clamp and mean difference of a pair."""
+    """Spectra of both states, joined into one list of modes, and the mean difference."""
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
-    forms = (williamson(rho0.cov), williamson(rho1.cov))
-    if not all(w.physical for w in forms):
-        raise ValueError("s_overlap requires physical states")
-    nus = [np.maximum(w.nus, _NU_CLAMP) for w in forms]
+    (ln0, theta0, proj0, clamped0), (ln1, theta1, proj1, clamped1) = _spectrum(rho0.cov), _spectrum(rho1.cov)
     return _PreparedPair(
         modes=rho0.modes,
-        spectra=tuple((np.log(nu + 0.5), np.arctanh(0.5 / nu), w.S) for nu, w in zip(nus, forms)),
+        ln_top=np.concatenate((ln0, ln1)),
+        theta=np.concatenate((theta0, theta1)),
+        projectors=np.concatenate((proj0, proj1)),
+        of_rho0=np.arange(2 * rho0.modes) < rho0.modes,
         # a (1, 2n, 1) stack of one column, which np.linalg.solve broadcasts
         # the same way in every numpy version
         d=(rho0.mean - rho1.mean).reshape(1, -1, 1),
-        clamped=any(w.nus.min() < _NU_CLAMP for w in forms),
+        clamped=clamped0 or clamped1,
     )
 
 
@@ -132,14 +174,15 @@ def _evaluate(pair: _PreparedPair, s: np.ndarray) -> tuple[np.ndarray, np.ndarra
     same elementwise arithmetic, so an s gives the same bits alone as inside
     a longer array.
     """
-    sum_ln_g, sigma = 0.0, 0.0
-    for (ln_top, theta, sym), t in zip(pair.spectra, (s[:, None], 1.0 - s[:, None])):
-        # ln[(nu+1/2)^t - (nu-1/2)^t] = -ln G_t(nu) and Lambda_t(nu) = coth(t theta),
-        # both free of cancellation for large nu
-        sum_ln_g = sum_ln_g + (t * ln_top + np.log(-np.expm1(-2.0 * t * theta))).sum(axis=1)
-        lam = np.repeat(1.0 / np.tanh(t * theta), 2, axis=1)
-        sigma = sigma + (sym * lam[:, None, :]) @ sym.T
-    sigma = 0.5 * (sigma + sigma.transpose(0, 2, 1))
+    # the power of each mode: s for rho0's, 1 - s for rho1's
+    t = np.where(pair.of_rho0, s[:, None], 1.0 - s[:, None])
+    t_theta = t * pair.theta
+    # ln[(nu+1/2)^t - (nu-1/2)^t] = -ln G_t(nu) and Lambda_t(nu) = coth(t theta),
+    # both free of cancellation for large nu
+    sum_ln_g = (t * pair.ln_top + np.log(-np.expm1(-2.0 * t_theta))).sum(axis=1)
+    # a multiply-and-sum, not a matrix product, keeps the bits independent of
+    # the batch size
+    sigma = ((1.0 / np.tanh(t_theta))[:, :, None, None] * pair.projectors).sum(axis=1)
 
     try:
         chol = np.linalg.cholesky(sigma)
@@ -221,12 +264,14 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     it. The search stops once the bracket is at most 1e-10 wide, or below
     1e-6 with its three values within 1e-13 of each other; one parabolic
     step through those three points then refines s*. The pair is decomposed
-    once. s* is evaluated again on its own, as :func:`s_overlap` does, and
-    the s = 1/2 overlap of the first scan is returned instead when it is
-    lower or the states are indistinguishable (C > 1 - 1e-12), so the result
-    never exceeds :func:`qbb`'s. ``evaluations`` counts the s-points
-    evaluated (the scans plus s*; s = 1/2 is not evaluated twice) and
-    ``s_bracket`` is the final bracket width.
+    once. Each zoom grid is centred exactly on a point of the previous grid,
+    whose values are reused, so a zoom evaluates 32 new points. s* is
+    evaluated again on its own, as :func:`s_overlap` does, and the s = 1/2
+    overlap of the first scan is returned instead when it is lower or the
+    states are indistinguishable (C > 1 - 1e-12), so the result never
+    exceeds :func:`qbb`'s. ``evaluations`` counts the s-points evaluated (33
+    for the first scan, 32 per zoom, 1 for s*; s = 1/2 is not evaluated
+    twice) and ``s_bracket`` is the final bracket width.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -234,7 +279,7 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     pair = _prepare(rho0, rho1)
     s = 0.5 + (0.5 - _S_EDGE) * _UNIT_GRID
     ln_pre, mean_exponent = _evaluate(pair, s)
-    half = _overlap_result(pair, 0.5, ln_pre[_SCAN_POINTS // 2], mean_exponent[_SCAN_POINTS // 2])
+    half = _overlap_result(pair, 0.5, ln_pre[_MID], mean_exponent[_MID])
     evaluations = s.size
     while True:
         ln_c = ln_pre - mean_exponent
@@ -244,9 +289,12 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
         width = s[j + 1] - s[j - 1]
         if width <= _S_TOL or (width < 1e-6 and np.ptp(ln_c[j - 1 : j + 2]) < 1e-13):
             break
+        # the new grid is centred exactly on s[j], whose values are known
+        known = ln_pre[j], mean_exponent[j]
         s = s[j] + 0.5 * width * _UNIT_GRID
-        ln_pre, mean_exponent = _evaluate(pair, s)
-        evaluations += s.size
+        fresh = _evaluate(pair, s[_OFF_MID])
+        ln_pre, mean_exponent = (np.concatenate((v[:_MID], [k], v[_MID:])) for v, k in zip(fresh, known))
+        evaluations += s.size - 1
 
     # one parabolic step through the final three points when the middle one
     # is the lowest, so that the parabola has its vertex between them

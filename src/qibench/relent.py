@@ -163,8 +163,10 @@ def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
     return (isqrt_cov * (u * phi * u.H) * isqrt_cov).apply(mp.re), lndet
 
 
-def _mp_trace(m: mp.matrix) -> mp.mpf:
-    return mp.fsum(m[i, i] for i in range(m.rows))
+def _mp_trace_of_product(a: mp.matrix, b: mp.matrix) -> mp.mpf:
+    """Tr(a b) = sum_ij a_ij b_ji as one dot product, without forming a b."""
+    n = a.rows
+    return mp.fdot((a[i, j], b[j, i]) for i in range(n) for j in range(n))
 
 
 # covariance bytes and dps -> (mp covariance, Gibbs matrix, ln det), while
@@ -211,13 +213,13 @@ def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntRes
         delta = mp.matrix(rho0.mean) - mp.matrix(rho1.mean)
         g1_delta = gibbs1 * delta
         quad = (delta.T * g1_delta)[0]
-        d = (lndet1 - lndet0 + _mp_trace(cov0 * (gibbs1 - gibbs0)) + quad) / 2
+        d = (lndet1 - lndet0 + _mp_trace_of_product(cov0, gibbs1 - gibbs0) + quad) / 2
         gamma = gibbs0 - gibbs1
         gv = gamma * cov0
         go = gamma * mp.matrix(symplectic_form(rho0.modes))
         v = (
-            _mp_trace(gv * gv) / 2
-            + _mp_trace(go * go) / 8
+            _mp_trace_of_product(gv, gv) / 2
+            + _mp_trace_of_product(go, go) / 8
             + (g1_delta.T * cov0 * g1_delta)[0]
         )
         return RelEntResult(

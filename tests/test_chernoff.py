@@ -179,6 +179,27 @@ def test_batched_evaluation_matches_single_points(rng, random_cov, modes):
     assert np.array_equal(mean_exponent, [one[1][0] for one in singles])
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_one_sum_sigma_matches_per_state_products(rng, random_cov, modes):
+    # reference: Sigma_s = sum over states of S diag(Lambda_t(nu)) S^T, with
+    # the determinant and the quadratic form taken by numpy's dense routines
+    rho0 = GaussianState(modes, rng.normal(size=2 * modes), random_cov(rng, modes))
+    rho1 = GaussianState(modes, rng.normal(size=2 * modes), random_cov(rng, modes))
+    s = np.array([1e-3, 0.2, 0.5, 0.77, 1.0 - 1e-3])
+    ln_pre, mean_exponent = chernoff._evaluate(chernoff._prepare(rho0, rho1), s)
+    for k, sk in enumerate(s):
+        sigma, ln_g = np.zeros((2 * modes, 2 * modes)), 0.0
+        for rho, t in ((rho0, sk), (rho1, 1.0 - sk)):
+            w = williamson(rho.cov)
+            top, bottom = (w.nus + 0.5) ** t, (w.nus - 0.5) ** t
+            ln_g -= np.log(top - bottom).sum()
+            sigma += w.S @ np.diag(np.repeat((top + bottom) / (top - bottom), 2)) @ w.S.T
+        d = rho0.mean - rho1.mean
+        ref_pre = modes * math.log(2.0) + ln_g - 0.5 * np.linalg.slogdet(sigma)[1]
+        assert ln_pre[k] == pytest.approx(ref_pre, rel=1e-12, abs=1e-12)
+        assert mean_exponent[k] == pytest.approx(d @ np.linalg.solve(sigma, d), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "rho0, rho1",
     [
@@ -311,17 +332,57 @@ def test_overlap_of_identical_states_capped_at_one(bound):
     assert result.value == 0.5
 
 
-@pytest.mark.parametrize("call", [qcb, qbb, lambda rho0, rho1: s_overlap(rho0, rho1, 0.3)])
-def test_each_state_decomposed_once(monkeypatch, call):
+@pytest.fixture
+def decompositions(monkeypatch):
+    """List that grows by one entry per Williamson call of chernoff, starting from an empty cache."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return williamson(*args, **kwargs)
 
+    chernoff._cached_spectrum.cache_clear()
     monkeypatch.setattr(chernoff, "williamson", counting)
+    return calls
+
+
+@pytest.mark.parametrize("call", [qcb, qbb, lambda rho0, rho1: s_overlap(rho0, rho1, 0.3)])
+def test_each_state_decomposed_once(decompositions, call):
     call(displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8))
-    assert len(calls) == 2
+    assert len(decompositions) == 2
+
+
+def test_bounds_on_one_pair_decompose_each_state_once(decompositions):
+    rho0, rho1 = displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8)
+    qbb(rho0, rho1, 3)
+    qcb(rho0, rho1, 3)
+    s_overlap(rho1, rho0, 0.3)
+    assert len(decompositions) == 2
+
+
+def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
+    cov = random_cov(rng, 2)
+    ln_top, theta, projectors, _ = chernoff._spectrum(cov)
+    assert chernoff._spectrum(cov.copy())[2] is projectors
+    assert len(decompositions) == 1
+    for cached in (ln_top, theta, projectors):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+    assert np.array_equal(projectors, projectors.transpose(0, 2, 1))
+
+    changed = cov.copy()
+    changed[0, 0] += 1e-9
+    assert chernoff._spectrum(changed)[2] is not projectors
+    cov *= 2.0
+    chernoff._spectrum(cov)
+    assert len(decompositions) == 3
+
+    unphysical = GaussianState(1, np.zeros(2), 0.4 * np.eye(2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="physical"):
+            qbb(unphysical, make_thermal(1.0))
+    assert len(decompositions) == 5
 
 
 def test_factorization_failure_is_a_numeric_error(monkeypatch):
