@@ -7,8 +7,10 @@ hypotheses, giving
     P_fa(x) = (1/2) erfc(x / sqrt(2 M lambda0)),
     P_md(x) = (1/2) erfc((M sqrt(2 mu) - x) / sqrt(2 M lambda1)).
 
-A seeded Monte Carlo sampler provides the statistical oracle used to
-validate the closed forms.
+P_fa, P_md and the threshold for a given P_fa are elementwise, so a ROC
+curve is one erfc_inv call and one erfc call over its grid. A seeded Monte
+Carlo sampler provides the statistical oracle used to validate the closed
+forms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .protocols import Scenario
 from .relent import RocCurve
-from .special import erfc, erfc_inv
+from .special import _in_open_interval, erfc, erfc_inv
 
 DEFAULT_PFA_GRID = np.geomspace(1e-6, 1.0 - 1e-3, 200)
 
@@ -61,20 +63,19 @@ def channel_from_scenario(scenario: Scenario) -> HomodyneChannel:
     )
 
 
-def pfa_hom(x: float, ch: HomodyneChannel) -> float:
-    """False-alarm probability at threshold x."""
+def pfa_hom(x, ch: HomodyneChannel):
+    """False-alarm probability at threshold x (a float or an array)."""
     return 0.5 * erfc(x / math.sqrt(2.0 * ch.copies * ch.lambda0))
 
 
-def pmd_hom(x: float, ch: HomodyneChannel) -> float:
-    """Missed-detection probability at threshold x."""
+def pmd_hom(x, ch: HomodyneChannel):
+    """Missed-detection probability at threshold x (a float or an array)."""
     return 0.5 * erfc((ch.signal_sum - x) / math.sqrt(2.0 * ch.copies * ch.lambda1))
 
 
-def threshold_for_pfa(p_fa: float, ch: HomodyneChannel) -> float:
-    """Threshold achieving the requested false-alarm probability."""
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError("p_fa must lie in (0, 1)")
+def threshold_for_pfa(p_fa, ch: HomodyneChannel):
+    """Threshold achieving the requested false-alarm probability (a float or an array)."""
+    p_fa = _in_open_interval(p_fa, 0.0, 1.0, "p_fa must lie in (0, 1)")
     return math.sqrt(2.0 * ch.copies * ch.lambda0) * erfc_inv(2.0 * p_fa)
 
 
@@ -85,7 +86,7 @@ def roc_homodyne(ch: HomodyneChannel, grid: Sequence[float] | None = None) -> Ro
         raise ValueError("false-alarm grid is empty")
     if p_fa[0] <= 0.0 or p_fa[-1] >= 1.0:
         raise ValueError("false-alarm grid values must lie in (0, 1)")
-    p_md = np.array([pmd_hom(threshold_for_pfa(float(p), ch), ch) for p in p_fa])
+    p_md = pmd_hom(threshold_for_pfa(p_fa, ch), ch)
     return RocCurve(p_fa=p_fa, p_md=p_md, copies=ch.copies, meta={"detector": "homodyne"})
 
 

@@ -253,46 +253,27 @@ def _check_rates(d: float, v: float, copies: int) -> None:
         raise ValueError(f"copies must be a whole number >= 1, got {copies!r}")
 
 
-def _pmd_raw(d: float, v: float, copies: int, epsilon: float) -> tuple[float, bool]:
-    exponent = copies * d + math.sqrt(copies * v) * normal_quantile(epsilon)
-    if exponent < 0.0:
-        return 1.0, True
-    value = math.exp(-exponent) if exponent < 745.0 else 0.0
-    return value, False
-
-
-def pmd_second_order(d: float, v: float, copies: int, epsilon: float) -> float:
-    """Second-order missed-detection probability exp(-[M d + sqrt(M v) Phi^{-1}(eps)]).
-
-    The O(log M) and O(1) corrections of the expansion are set to zero; the
-    result is clamped to [0, 1].
-    """
-    _check_rates(d, v, copies)
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    return _pmd_raw(d, v, copies, epsilon)[0]
-
-
 DEFAULT_EPSILON_GRID = np.geomspace(1e-4, 0.9, 60)
 
 
 def roc_from_rates(d: float, v: float, copies: int, grid: Sequence[float] | None = None) -> RocCurve:
-    """ROC curve (eps, P_md(eps)) for given decay rate d and variance v."""
+    """ROC curve P_md(eps) = exp(-[M d + sqrt(M v) Phi^{-1}(eps)]), clamped to [0, 1].
+
+    The O(log M) and O(1) corrections are set to zero; the clamped points are counted.
+    """
     _check_rates(d, v, copies)
     eps = np.sort(np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float))
     if eps.size == 0:
         raise ValueError("epsilon grid is empty")
     if eps[0] <= 0.0 or eps[-1] >= 1.0:
         raise ValueError("epsilon grid values must lie in (0, 1)")
-    values = np.empty_like(eps)
-    clamped = 0
-    for i, e in enumerate(eps):
-        values[i], was_clamped = _pmd_raw(d, v, copies, float(e))
-        clamped += was_clamped
+    exponent = copies * d + math.sqrt(copies * v) * normal_quantile(eps)
+    # libm's exp on each point: numpy's may differ from it in the last bit
+    values = np.array([1.0 if e < 0.0 else math.exp(-e) if e < 745.0 else 0.0 for e in exponent.tolist()])
     meta = {
         "d": d,
         "v": v,
-        "clamped_points": clamped,
+        "clamped_points": int(np.count_nonzero(exponent < 0.0)),
         "truncation": "second-order: O(log M) and O(1) terms set to zero",
     }
     return RocCurve(p_fa=eps, p_md=values, copies=copies, meta=meta)

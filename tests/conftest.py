@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qibench import relent
+from qibench import homodyne, relent, special
 from qibench.validation import random_physical_cov
 
 
@@ -31,4 +31,19 @@ def mp_decompositions(monkeypatch):
         return decompose(*args)
 
     monkeypatch.setattr(relent, "_mp_gibbs_lndet", counting)
+    return calls
+
+
+@pytest.fixture
+def erfc_inv_calls(monkeypatch):
+    """List that grows by one entry per call of the public erfc_inv, under every name."""
+    calls = []
+    inverse = special.erfc_inv
+
+    def counting(y):
+        calls.append(y)
+        return inverse(y)
+
+    monkeypatch.setattr(special, "erfc_inv", counting)
+    monkeypatch.setattr(homodyne, "erfc_inv", counting)
     return calls

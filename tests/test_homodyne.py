@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from qibench.homodyne import (
+    DEFAULT_PFA_GRID,
     HomodyneChannel,
     channel_from_scenario,
     monte_carlo_roc,
@@ -14,6 +16,7 @@ from qibench.homodyne import (
 )
 from qibench.protocols import figure_grid
 from qibench.special import erfc
+from test_special import erfc_inv_reference
 
 
 def make_channel(mu=1e-10, lambda0=6250.5, lambda1=6313.0, copies=1000):
@@ -134,3 +137,38 @@ def test_grid_validation():
         threshold_for_pfa(0.0, ch)
     with pytest.raises(ValueError):
         monte_carlo_roc(ch, [0.0], trials=0, seed=1)
+
+
+def pmd_reference(p_fa, ch):
+    """P_md at one false-alarm point as a per-point loop with scalar scipy calls."""
+    x = math.sqrt(2.0 * ch.copies * ch.lambda0) * erfc_inv_reference(2.0 * p_fa)
+    return 0.5 * float(sp.erfc((ch.signal_sum - x) / math.sqrt(2.0 * ch.copies * ch.lambda1)))
+
+
+@pytest.mark.parametrize("figure", ["fig3_upper", "fig3_lower", "fig4_upper", "fig4_mid", "fig4_lower"])
+def test_roc_bit_identical_to_per_point_loop(figure):
+    # the second grid is that of `qibench figure ... --grid-min 1e-320`
+    subnormal = np.geomspace(1e-320, float(DEFAULT_PFA_GRID[-1]), DEFAULT_PFA_GRID.size)
+    for scenario in figure_grid(figure):
+        ch = channel_from_scenario(scenario)
+        for grid in (DEFAULT_PFA_GRID, subnormal):
+            curve = roc_homodyne(ch, grid)
+            expected = np.array([pmd_reference(float(p), ch) for p in curve.p_fa])
+            assert curve.p_md.tobytes() == expected.tobytes()
+
+
+def test_formulas_are_elementwise():
+    ch = make_channel(mu=1e-6)
+    p = np.geomspace(1e-9, 0.5, 12).reshape(3, 4)
+    x = threshold_for_pfa(p, ch)
+    assert x.shape == (3, 4) and type(threshold_for_pfa(0.25, ch)) is float
+    assert x.ravel().tolist() == [threshold_for_pfa(float(q), ch) for q in p.ravel()]
+    for f in (pfa_hom, pmd_hom):
+        assert f(x, ch).ravel().tolist() == [f(float(t), ch) for t in x.ravel()]
+    with pytest.raises(ValueError):
+        threshold_for_pfa(np.array([0.5, 1.0]), ch)
+
+
+def test_roc_inverts_its_grid_in_one_call(erfc_inv_calls):
+    roc_homodyne(make_channel())
+    assert len(erfc_inv_calls) == 1

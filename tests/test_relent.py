@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from qibench import relent
+from qibench.closed_forms import closed_qre
 from qibench.gaussian import GaussianState, make_coherent, make_thermal
-from qibench.protocols import hypothesis_pair
+from qibench.protocols import figure_grid, hypothesis_pair
 from qibench.relent import (
+    DEFAULT_EPSILON_GRID,
     gibbs_matrix,
-    pmd_second_order,
     relative_entropy,
     roc_asymmetric,
     roc_from_rates,
 )
 from qibench.validation import benchmark_combos
 from test_chernoff import displaced_thermal_fock, displaced_thermal_state
+from test_special import erfc_inv_reference
 
 
 def fock_relative_entropy(rho0, rho1):
@@ -151,11 +153,16 @@ def test_relative_entropy_nonnegative_and_faithful():
     assert relative_entropy(base, warmer).d > 1e-10
 
 
+def one_point_pmd(d, v, copies, epsilon):
+    """The second-order P_md at one point: a one-point roc_from_rates."""
+    return float(roc_from_rates(d, v, copies, grid=[epsilon]).p_md[0])
+
+
 def test_pmd_second_order_degenerate_cases():
-    assert pmd_second_order(0.0, 0.0, 100, 0.01) == 1.0
+    assert one_point_pmd(0.0, 0.0, 100, 0.01) == 1.0
     d = 1e-2
     for m in (1, 10, 1000):
-        assert pmd_second_order(d, 0.123, m, 0.5) == pytest.approx(math.exp(-m * d), rel=1e-14)
+        assert one_point_pmd(d, 0.123, m, 0.5) == pytest.approx(math.exp(-m * d), rel=1e-14)
 
 
 def test_pmd_second_order_against_high_precision():
@@ -163,19 +170,19 @@ def test_pmd_second_order_against_high_precision():
     with mp.workdps(50):
         quantile = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(eps) - 1)
         expected = float(mp.e ** (-(m * mp.mpf(d) + mp.sqrt(m * mp.mpf(v)) * quantile)))
-    assert pmd_second_order(d, v, m, eps) == pytest.approx(expected, rel=1e-12)
+    assert one_point_pmd(d, v, m, eps) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pmd_second_order_domain():
     with pytest.raises(ValueError):
-        pmd_second_order(1e-2, 1e-2, 10, 0.0)
+        one_point_pmd(1e-2, 1e-2, 10, 0.0)
     with pytest.raises(ValueError):
-        pmd_second_order(1e-2, 1e-2, 10, 1.0)
+        one_point_pmd(1e-2, 1e-2, 10, 1.0)
 
 
 @pytest.mark.parametrize(
     "evaluate",
-    [roc_from_rates, lambda d, v, copies: pmd_second_order(d, v, copies, 0.5)],
+    [roc_from_rates, lambda d, v, copies: one_point_pmd(d, v, copies, 0.5)],
     ids=["roc_from_rates", "pmd_second_order"],
 )
 @pytest.mark.parametrize(
@@ -198,9 +205,34 @@ def test_rates_and_copies_are_checked(evaluate, d, v, copies):
 
 def test_pmd_doubling_copies_squares_median_point():
     d = 3.7e-4
-    single = pmd_second_order(d, 0.31, 1000, 0.5)
-    double = pmd_second_order(d, 0.31, 2000, 0.5)
+    single = one_point_pmd(d, 0.31, 1000, 0.5)
+    double = one_point_pmd(d, 0.31, 2000, 0.5)
     assert math.log(double) == pytest.approx(2.0 * math.log(single), rel=1e-10)
+
+
+def pmd_reference(d, v, copies, epsilon):
+    """The second-order P_md at one point as a per-point loop, and whether it was clamped."""
+    quantile = -math.sqrt(2.0) * erfc_inv_reference(2.0 * epsilon) + 0.0
+    exponent = copies * d + math.sqrt(copies * v) * quantile
+    if exponent < 0.0:
+        return 1.0, True
+    return (math.exp(-exponent) if exponent < 745.0 else 0.0), False
+
+
+@pytest.mark.parametrize("figure", ["fig3_upper", "fig3_lower", "fig4_upper", "fig4_mid", "fig4_lower"])
+def test_roc_from_rates_bit_identical_to_per_point_loop(figure):
+    for scenario in figure_grid(figure):
+        d, v = closed_qre(scenario)
+        for copies in (1, 1000, scenario.copies, 10**8):
+            curve = roc_from_rates(d, v, copies)
+            expected, clamped = zip(*(pmd_reference(d, v, copies, float(e)) for e in DEFAULT_EPSILON_GRID))
+            assert curve.p_md.tobytes() == np.array(expected).tobytes()
+            assert curve.meta["clamped_points"] == sum(clamped)
+
+
+def test_roc_from_rates_inverts_its_grid_in_one_call(erfc_inv_calls):
+    roc_from_rates(1e-2, 2e-2, 1000)
+    assert len(erfc_inv_calls) == 1
 
 
 def test_roc_identical_states_is_flat_one():

@@ -4,7 +4,29 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from qibench.special import erfc, erfc_inv, normal_quantile
+from qibench.homodyne import DEFAULT_PFA_GRID
+from qibench.relent import DEFAULT_EPSILON_GRID
+from qibench.special import _erfc_inv_tail, erfc, erfc_inv, normal_quantile
+
+
+def erfc_inv_reference(y):
+    """erfc_inv of one point as a per-point loop: scalar scipy calls and libm's exp.
+
+    The reference for bit identity of the elementwise evaluation.
+    """
+    x = float(sp.erfcinv(y))
+    for _ in range(3):
+        value = float(sp.erfc(x))
+        if value == 0.0:
+            return _erfc_inv_tail(y)
+        residual = value - y
+        if residual == 0.0:
+            break
+        x_new = x + residual * math.exp(x * x) / (2.0 / math.sqrt(math.pi))
+        if x_new == x:
+            break
+        x = x_new
+    return x + 0.0
 
 
 def bisect_erfc_inv(y, lo=-30.0, hi=30.0, iters=200):
@@ -76,3 +98,37 @@ def test_erfc_inv_where_erfc_underflows():
     assert erfc_inv(1e-315) == pytest.approx(26.85983275331074, rel=1e-12)
     # scipy's seed is inf at the smallest subnormal; mpmath root of ln erfc(x) = ln(2^-1074)
     assert erfc_inv(5e-324) == pytest.approx(27.21329321081295, rel=1e-12)
+
+
+def test_erfc_inv_array_bit_identical_to_per_point_loop():
+    rng = np.random.default_rng(20250808)
+    ys = np.concatenate(
+        [
+            rng.uniform(0.0, 2.0, 6000),
+            10.0 ** rng.uniform(-323.0, 0.0, 4000),  # down through the underflow tail
+            2.0 - 10.0 ** rng.uniform(-15.5, 0.0, 1000),
+            [1.0, 1e-320, 5e-324, np.nextafter(2.0, 0.0), 2.0 - 4e-16, 2.0 - 1e-15],
+            2.0 * DEFAULT_EPSILON_GRID,
+            2.0 * DEFAULT_PFA_GRID,
+        ]
+    )
+    expected = np.array([erfc_inv_reference(float(y)) for y in ys])
+    assert erfc_inv(ys).tobytes() == expected.tobytes()
+    eps = ys[ys < 1.0] / 2.0
+    eps = eps[eps > 0.0]  # half the smallest subnormal rounds to 0
+    expected = np.array([-math.sqrt(2.0) * erfc_inv_reference(float(2.0 * e)) + 0.0 for e in eps])
+    assert normal_quantile(eps).tobytes() == expected.tobytes()
+    assert erfc(ys).tobytes() == np.array([float(sp.erfc(float(y))) for y in ys]).tobytes()
+
+
+def test_elementwise_type_shape_and_domain():
+    for f, arg in ((erfc, 0.3), (erfc_inv, 0.3), (normal_quantile, 0.3)):
+        for scalar in (arg, np.float64(arg), np.array(arg)):
+            assert type(f(scalar)) is float
+        grid = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        out = f(grid)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        assert out.ravel().tolist() == [f(float(a)) for a in grid.ravel()]
+    for f, bad in ((erfc_inv, [0.5, 2.0, 1.0]), (erfc_inv, [math.nan, 0.5]), (normal_quantile, [0.5, 0.0])):
+        with pytest.raises(ValueError):
+            f(np.array(bad))
