@@ -76,25 +76,25 @@ def qcb_coherent(signal: float, excess: float, n_b: float, eta: float, copies: i
     return _bound(1.0 / xi1, eta * signal * _xi2(n1, n_b), copies)
 
 
-def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
-    """Large-background limit (1/2) exp(-M eta N_S / (4 N_B))."""
-    if n_s_eff < 0 or n_b <= 0:
-        raise ValueError("requires n_s_eff >= 0 and n_b > 0")
+def _check_limit_inputs(n_s: float, n_b: float, eta: float, copies: int) -> None:
+    """Reject inputs of the two limit forms outside their domain, NaN and inf included."""
+    if not (0.0 <= n_s < math.inf and 0.0 < n_b < math.inf):
+        raise ValueError(f"requires finite n_s >= 0 and n_b > 0, got n_s={n_s!r}, n_b={n_b!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    if not 1 <= copies < math.inf:
+        raise ValueError(f"copies must be finite and >= 1, got {copies!r}")
+
+
+def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
+    """Large-background limit (1/2) exp(-M eta N_S / (4 N_B))."""
+    _check_limit_inputs(n_s_eff, n_b, eta, copies)
     return _bound(1.0, eta * n_s_eff / (4.0 * n_b), copies)
 
 
 def tmsv_asymptote(n_s: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
     """Entangled-source asymptote (1/2) exp(-M eta N_S / N_B), for comparison curves."""
-    if n_s < 0 or n_b <= 0:
-        raise ValueError("requires n_s >= 0 and n_b > 0")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    _check_limit_inputs(n_s, n_b, eta, copies)
     return _bound(1.0, eta * n_s / n_b, copies)
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,15 +57,6 @@ class GaussianState:
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
 
-    def mean_photons(self) -> float:
-        """Total mean photon number summed over modes."""
-        return float(self.mean @ self.mean) / 2.0 + np.trace(self.cov) / 2.0 - self.modes / 2.0
-
-
-class PhysicalityCheck(NamedTuple):
-    physical: bool
-    nu_min: float
-
 
 @dataclass
 class WilliamsonDecomposition:
@@ -84,11 +74,17 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.nus, 2))
 
 
-def _hermitian_form(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V^(1/2), symplectic spectrum and eigenvectors of H = V^(1/2) (i Omega) V^(1/2).
+def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
+    """Williamson normal form of a symmetric positive-definite matrix.
 
-    H is Hermitian with eigenvalues +-nu_k. The top N eigenpairs are returned
-    in descending order of nu; the -nu_k partners are their complex conjugates.
+    Each eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
+    nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
+    sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
+    sorted by descending symplectic eigenvalue, and each is rotated so its
+    first significant q entry is positive with vanishing p partner, which
+    makes the output deterministic. nu_min < 1/2 marks V as unphysical; a V
+    that is not positive definite has no symplectic spectrum and raises
+    ValueError.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -102,45 +98,10 @@ def _hermitian_form(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if w.min() <= 0.0:
         raise ValueError(f"cov is not positive definite (min eigenvalue {w.min():.3e})")
     sqrt_cov = (U * np.sqrt(w)) @ U.T
+    # H is Hermitian with eigenvalues +-nu_k; the top N eigenpairs, in
+    # descending order of nu, are kept (the -nu_k partners are their conjugates)
     nus, vecs = np.linalg.eigh(sqrt_cov @ (1j * symplectic_form(modes)) @ sqrt_cov)
-    return sqrt_cov, nus[::-1][:modes], vecs[:, ::-1][:, :modes]
-
-
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a positive-definite covariance, sorted descending.
-
-    The same eigendecomposition as :func:`williamson`, so the two agree
-    exactly. Values below 1/2 indicate an unphysical V; a V that is not
-    positive definite has no symplectic spectrum and raises ValueError.
-    """
-    return _hermitian_form(cov)[1]
-
-
-def is_physical(state: GaussianState) -> PhysicalityCheck:
-    """Check the uncertainty relation V + i*Omega/2 >= 0 via symplectic eigenvalues.
-
-    A covariance that is not positive definite is unphysical, reported with
-    nu_min = nan since it has no symplectic spectrum.
-    """
-    try:
-        nu_min = float(_hermitian_form(state.cov)[1][-1])
-    except ValueError:  # shape was checked when the state was built
-        return PhysicalityCheck(False, math.nan)
-    return PhysicalityCheck(nu_min >= 0.5 - _PHYSICALITY_TOL, nu_min)
-
-
-def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive-definite matrix.
-
-    Each eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
-    nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
-    sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
-    sorted by descending symplectic eigenvalue, and each is rotated so its
-    first significant q entry is positive with vanishing p partner, which
-    makes the output deterministic.
-    """
-    sqrt_cov, nus, vecs = _hermitian_form(cov)
-    modes = nus.size
+    nus, vecs = nus[::-1][:modes], vecs[:, ::-1][:, :modes]
     cols = np.empty((2 * modes, 2 * modes))
     cols[:, 0::2] = vecs.imag
     cols[:, 1::2] = vecs.real
@@ -187,28 +148,6 @@ def apply_amplifier(state: GaussianState, gain: float) -> GaussianState:
     if state.modes != 1:
         raise ValueError("amplifier acts on a single mode")
     return GaussianState(1, state.mean.copy(), state.cov + (gain - 1.0) * 0.5 * np.eye(2))
-
-
-def amplified_source(n_s: float, n_a: float) -> GaussianState:
-    """Amplified coherent source with mean (sqrt(2 n_s), 0) and covariance n_a * I.
-
-    n_a is the total noise variance of the source as used by the benchmark
-    formulas; it must be at least the vacuum level 1/2.
-    """
-    if n_s < 0:
-        raise ValueError("mean photon number must be non-negative")
-    if n_a < 0.5:
-        raise ValueError("source noise n_a below vacuum level 1/2 is unphysical")
-    return GaussianState(1, np.array([math.sqrt(2.0 * n_s), 0.0]), n_a * np.eye(2))
-
-
-def added_photons_from_gain(gain: float, n_b: float) -> float:
-    """Amplifier-added photon number N_A = N_B + g_A / 2 for gain g_A >= 1."""
-    if gain < 1.0:
-        raise ValueError("amplifier gain must be >= 1")
-    if n_b < 0:
-        raise ValueError("background photon number must be non-negative")
-    return n_b + 0.5 * gain
 
 
 def apply_beamsplitter(

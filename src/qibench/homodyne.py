@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .protocols import Scenario
-from .relent import RocCurve
+from .relent import RocCurve, _check_copies, _probability_grid
 from .special import _in_open_interval, erfc, erfc_inv
 
 DEFAULT_PFA_GRID = np.geomspace(1e-6, 1.0 - 1e-3, 200)
@@ -38,12 +38,11 @@ class HomodyneChannel:
     copies: int
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
-        if not self.lambda1 >= self.lambda0 > 0:
-            raise ValueError("variances must satisfy lambda1 >= lambda0 > 0")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and non-negative, got {self.mu!r}")
+        if not math.inf > self.lambda1 >= self.lambda0 > 0:
+            raise ValueError("variances must be finite and satisfy lambda1 >= lambda0 > 0")
+        _check_copies(self.copies)
 
     @property
     def signal_sum(self) -> float:
@@ -81,11 +80,7 @@ def threshold_for_pfa(p_fa, ch: HomodyneChannel):
 
 def roc_homodyne(ch: HomodyneChannel, grid: Sequence[float] | None = None) -> RocCurve:
     """Closed-form homodyne ROC over a false-alarm grid."""
-    p_fa = np.sort(np.asarray(DEFAULT_PFA_GRID if grid is None else grid, dtype=float))
-    if p_fa.size == 0:
-        raise ValueError("false-alarm grid is empty")
-    if p_fa[0] <= 0.0 or p_fa[-1] >= 1.0:
-        raise ValueError("false-alarm grid values must lie in (0, 1)")
+    p_fa = _probability_grid(grid, DEFAULT_PFA_GRID, "false-alarm")
     p_md = pmd_hom(threshold_for_pfa(p_fa, ch), ch)
     return RocCurve(p_fa=p_fa, p_md=p_md, copies=ch.copies, meta={"detector": "homodyne"})
 

@@ -66,8 +66,10 @@ class Scenario:
     """One benchmark configuration, after optional energy matching.
 
     n_a is the amplifier-added photon number for the amplified protocol and
-    the matching reference for the other two. n_b / n_t override the Planck
-    occupations computed from (freq, t_target) and (freq, t_fridge).
+    the matching reference for the other two. Its amplifier has gain 1 + 2 n_a,
+    as in :func:`hypothesis_pair_via_channels`; the paper's N_A = N_B + g_A / 2
+    is not used. n_b / n_t override the Planck occupations computed from
+    (freq, t_target) and (freq, t_fridge).
     """
 
     label: str

@@ -13,7 +13,8 @@ float64 resolution, :func:`relative_entropy` accepts ``dps`` to run the
 identical formulas in mpmath arbitrary precision. A check that evaluates
 many pairs at one ``dps`` wraps its loop in ``_shared_mp_forms()``: inside
 that block each distinct covariance is converted and decomposed once, and
-the forms are dropped when the block ends.
+the forms are dropped when the block ends. mpmath is imported inside the
+functions of that path, so the f64 path never loads it.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -25,11 +26,10 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ._lazy import lazy_module
 from .gaussian import (
     GaussianState,
     NumericError,
@@ -39,7 +39,8 @@ from .gaussian import (
 )
 from .special import normal_quantile
 
-mp = lazy_module("mpmath")
+if TYPE_CHECKING:
+    import mpmath as mp
 
 _PURE_NU_TOL = 1e-10
 _NEGATIVE_CLAMP = -1e-12
@@ -134,12 +135,15 @@ def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState) -> RelEntResult:
     return RelEntResult(d=d, v=_clamp_nonneg(v, "relative entropy variance"))
 
 
-def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
-    """Gibbs matrix and ln det(V + i Omega/2) at working precision.
+def _mp_gibbs_lndet(cov: np.ndarray, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
+    """The covariance as an mp.matrix, its Gibbs matrix and ln det(V + i Omega/2) at working precision.
 
     Uses the Hermitian form W = V^{1/2} (i Omega) V^{1/2}, whose eigenvalues
     are +-nu_k, and G = V^{-1/2} U diag(nu g(nu)) U^H V^{-1/2}.
     """
+    import mpmath as mp
+
+    cov = mp.matrix(cov)
     dim = cov.rows
     n = dim // 2
     evals, q = mp.eigsy(cov)
@@ -160,11 +164,13 @@ def _mp_gibbs_lndet(cov: mp.matrix, who: str) -> tuple[mp.matrix, mp.mpf]:
             raise _pure_mode_error(who, float(nu), i if i < n else dim - 1 - i)
     lndet = sum(mp.log(nu**2 - half**2) for x, nu in zip(e, nus) if x > 0)
     phi = mp.diag([nu * mp.log((nu + half) / (nu - half)) for nu in nus])
-    return (isqrt_cov * (u * phi * u.H) * isqrt_cov).apply(mp.re), lndet
+    return cov, (isqrt_cov * (u * phi * u.H) * isqrt_cov).apply(mp.re), lndet
 
 
 def _mp_trace_of_product(a: mp.matrix, b: mp.matrix) -> mp.mpf:
     """Tr(a b) = sum_ij a_ij b_ji as one dot product, without forming a b."""
+    import mpmath as mp
+
     n = a.rows
     return mp.fdot((a[i, j], b[j, i]) for i in range(n) for j in range(n))
 
@@ -191,7 +197,7 @@ def _shared_mp_forms() -> Iterator[dict]:
 
 
 def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
-    """The covariance as an mp.matrix, its Gibbs matrix and ln det at ``dps`` digits.
+    """:func:`_mp_gibbs_lndet` at ``dps`` digits, shared inside a ``_shared_mp_forms()`` block.
 
     Keyed by contents, not identity, so a covariance changed in place is
     decomposed again; a covariance that fails to decompose is not kept.
@@ -199,14 +205,15 @@ def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix
     key = (cov.shape, cov.tobytes(), dps)
     if _mp_forms_memo is not None and key in _mp_forms_memo:
         return _mp_forms_memo[key]
-    cov_mp = mp.matrix(cov)
-    forms = (cov_mp, *_mp_gibbs_lndet(cov_mp, who))
+    forms = _mp_gibbs_lndet(cov, who)
     if _mp_forms_memo is not None:
         _mp_forms_memo[key] = forms
     return forms
 
 
 def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntResult:
+    import mpmath as mp
+
     with mp.workdps(dps):
         cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
         _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
@@ -245,10 +252,8 @@ def relative_entropy(
     return _rel_ent_f64(rho0, rho1)
 
 
-def _check_rates(d: float, v: float, copies: int) -> None:
-    """Reject rates and copy counts outside the second-order form's domain."""
-    if not (math.isfinite(d) and math.isfinite(v) and d >= 0 and v >= 0):
-        raise ValueError(f"d and v must be finite and non-negative, got d={d!r}, v={v!r}")
+def _check_copies(copies: int) -> None:
+    """Reject a copy count that is not a whole number >= 1 (NaN and inf included)."""
     if not (isinstance(copies, numbers.Real) and float(copies).is_integer() and copies >= 1):
         raise ValueError(f"copies must be a whole number >= 1, got {copies!r}")
 
@@ -256,17 +261,25 @@ def _check_rates(d: float, v: float, copies: int) -> None:
 DEFAULT_EPSILON_GRID = np.geomspace(1e-4, 0.9, 60)
 
 
+def _probability_grid(grid: Sequence[float] | None, default: np.ndarray, name: str) -> np.ndarray:
+    """``grid`` (``default`` if None) sorted, or ValueError if empty or outside (0, 1)."""
+    values = np.sort(np.asarray(default if grid is None else grid, dtype=float))
+    if values.size == 0:
+        raise ValueError(f"{name} grid is empty")
+    if values[0] <= 0.0 or values[-1] >= 1.0:
+        raise ValueError(f"{name} grid values must lie in (0, 1)")
+    return values
+
+
 def roc_from_rates(d: float, v: float, copies: int, grid: Sequence[float] | None = None) -> RocCurve:
     """ROC curve P_md(eps) = exp(-[M d + sqrt(M v) Phi^{-1}(eps)]), clamped to [0, 1].
 
     The O(log M) and O(1) corrections are set to zero; the clamped points are counted.
     """
-    _check_rates(d, v, copies)
-    eps = np.sort(np.asarray(DEFAULT_EPSILON_GRID if grid is None else grid, dtype=float))
-    if eps.size == 0:
-        raise ValueError("epsilon grid is empty")
-    if eps[0] <= 0.0 or eps[-1] >= 1.0:
-        raise ValueError("epsilon grid values must lie in (0, 1)")
+    if not (math.isfinite(d) and math.isfinite(v) and d >= 0 and v >= 0):
+        raise ValueError(f"d and v must be finite and non-negative, got d={d!r}, v={v!r}")
+    _check_copies(copies)
+    eps = _probability_grid(grid, DEFAULT_EPSILON_GRID, "epsilon")
     exponent = copies * d + math.sqrt(copies * v) * normal_quantile(eps)
     # libm's exp on each point: numpy's may differ from it in the last bit
     values = np.array([1.0 if e < 0.0 else math.exp(-e) if e < 745.0 else 0.0 for e in exponent.tolist()])

@@ -9,7 +9,8 @@ a loop over it alone would: at a zero residual, at a step that no longer moves
 it, or after three steps. The step takes numpy's exp, which may differ from
 libm's in the last bit; the seed is within about ten ulps of the root, so the
 step is too, and that bit does not reach x. A test holds the result bit for bit
-to the loop with libm's exp.
+to the loop with libm's exp. scipy.special is imported inside the two
+functions that call it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._lazy import lazy_module
-
-sp = lazy_module("scipy.special")
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
@@ -40,6 +37,8 @@ def _float_if_0d(a):
 
 def erfc(x):
     """Complementary error function."""
+    import scipy.special as sp
+
     return _float_if_0d(sp.erfc(x))
 
 
@@ -51,6 +50,8 @@ def erfc_inv(y):
     root comes from the asymptotic tail of ln erfc instead.
     """
     y = _in_open_interval(y, 0.0, 2.0, "erfc_inv is defined on the open interval (0, 2)")
+    import scipy.special as sp
+
     flat = y.reshape(-1)
     x = sp.erfcinv(flat)
     tail = np.zeros(flat.shape, dtype=bool)

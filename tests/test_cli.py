@@ -236,13 +236,21 @@ def test_roc_rejects_unsafe_labels(label, tmp_path, capsys):
 
 
 IMPORT_SURFACE = """
-import json, sys
+import importlib.util, json, sys
 HEAVY = ("scipy.linalg._flapack", "scipy.special._ufuncs", "mpmath.libmp")
 seen = {}
+def deferred():
+    # any scipy or mpmath module at all, and any module still awaiting a lazy import
+    return sorted(
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] in ("scipy", "mpmath") or isinstance(module, importlib.util._LazyModule)
+    )
 import qibench.cli
 seen["import"] = [m for m in HEAVY if m in sys.modules]
+seen["import_any"] = deferred()
 qibench.cli.main(["figure", "fig2_upper", "--out", sys.argv[1]])
 seen["fig2_upper"] = [m for m in HEAVY if m in sys.modules]
+seen["fig2_upper_any"] = deferred()
 qibench.cli.main(["figure", "fig4_upper", "--out", sys.argv[1]])
 seen["fig4_upper"] = [m for m in HEAVY if m in sys.modules]
 from qibench import figure_grid, hypothesis_pair, qbb
@@ -266,6 +274,8 @@ def test_heavy_dependencies_load_on_first_use(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["fig2_upper"] == []
+    assert seen["import_any"] == []
+    assert seen["fig2_upper_any"] == []
     assert seen["fig4_upper"] == ["scipy.special._ufuncs"]
     assert seen["qbb"] == ["scipy.special._ufuncs"]
     # the package itself never loads scipy.linalg

@@ -163,6 +163,29 @@ def test_tmsv_asymptote():
     assert point.value == pytest.approx(0.5 * math.exp(-0.16), rel=1e-12)
 
 
+@pytest.mark.parametrize("limit", [qcb_high_background, tmsv_asymptote])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (math.nan, 6250.0, 0.1, 1),
+        (math.inf, 6250.0, 0.1, 1),
+        (1.0, math.nan, 0.1, 1),
+        (1.0, math.inf, 0.1, 1),
+        (1.0, 6250.0, math.nan, 1),
+        (1.0, 6250.0, 0.1, math.nan),
+        (1.0, 6250.0, 0.1, math.inf),
+        (-1.0, 6250.0, 0.1, 1),
+        (1.0, 0.0, 0.1, 1),
+        (1.0, 6250.0, 1.5, 1),
+        (1.0, 6250.0, 0.1, 0),
+    ],
+)
+def test_limit_forms_reject_inputs_outside_their_domain(limit, args):
+    # a NaN or infinite input used to come back as a silent value (0.0 or 0.5)
+    with pytest.raises(ValueError):
+        limit(*args)
+
+
 def test_qre_amp_limits():
     d, v = closed_qre(amp(0.5, 0.0, 6250.0, 1e-2))
     g = math.log1p(1.0 / 6250.0)

@@ -5,14 +5,10 @@ import pytest
 
 from qibench.gaussian import (
     GaussianState,
-    added_photons_from_gain,
-    amplified_source,
     apply_amplifier,
     apply_beamsplitter,
-    is_physical,
     make_coherent,
     make_thermal,
-    symplectic_eigenvalues,
     symplectic_form,
     williamson,
 )
@@ -33,7 +29,8 @@ def test_make_coherent(n_s, mean_q):
     state = make_coherent(n_s)
     assert state.mean == pytest.approx([mean_q, 0.0], abs=1e-15)
     assert np.allclose(state.cov, 0.5 * np.eye(2))
-    assert state.mean_photons() == pytest.approx(n_s, abs=1e-12)
+    photons = float(state.mean @ state.mean) / 2.0 + np.trace(state.cov) / 2.0 - 0.5
+    assert photons == pytest.approx(n_s, abs=1e-12)
 
 
 @pytest.mark.parametrize("n_bar, variance", [(0.0, 0.5), (6250.0, 6250.5), (0.5, 1.0)])
@@ -73,19 +70,15 @@ def test_amplifier_rescaled_adds_half_gain_noise():
 
 
 def test_amplified_source_matches_benchmark_convention():
-    source = amplified_source(1e-2, 6250.0)
+    # the scenario's amplified source: gain 1 + 2 N_A adds N_A photons, cov (1/2 + N_A) I
+    source = apply_amplifier(make_coherent(1e-2), gain=1.0 + 2.0 * 6250.0)
     assert source.mean == pytest.approx([math.sqrt(0.02), 0.0])
-    assert np.allclose(source.cov, 6250.0 * np.eye(2))
+    assert np.allclose(source.cov, 6250.5 * np.eye(2))
 
 
 def test_amplifier_domain_errors():
     with pytest.raises(ValueError):
         apply_amplifier(make_coherent(0.1), 0.9)
-    with pytest.raises(ValueError):
-        amplified_source(0.1, 0.2)
-    assert added_photons_from_gain(1.0, 6250.0) == 6250.5
-    with pytest.raises(ValueError):
-        added_photons_from_gain(0.5, 1.0)
 
 
 def test_beamsplitter_endpoints():
@@ -102,9 +95,8 @@ def test_beamsplitter_endpoints():
 def test_beamsplitter_on_amplified_source():
     # oracle: direct affine map tau*cov + (1-tau)*cov_env on the N_A*I source
     eta, n_a, n_b = 1e-2, 6250.0, 6250.0
-    out = apply_beamsplitter(
-        amplified_source(1e-2, n_a), eta, make_thermal(n_b / (1.0 - eta))
-    )
+    source = GaussianState(1, np.array([math.sqrt(2e-2), 0.0]), n_a * np.eye(2))
+    out = apply_beamsplitter(source, eta, make_thermal(n_b / (1.0 - eta)))
     expected = eta * n_a + (1.0 - eta) * (n_b / (1.0 - eta) + 0.5)
     assert np.allclose(out.cov, expected * np.eye(2), rtol=1e-14)
     assert out.mean[0] == pytest.approx(math.sqrt(2.0 * eta * 1e-2), rel=1e-14)
@@ -129,7 +121,8 @@ def test_beamsplitter_energy_bookkeeping(rng):
         tau = float(rng.uniform(0.0, 1.0))
         out = apply_beamsplitter(make_thermal(n_state), tau, make_thermal(n_env))
         expected = tau * n_state + (1.0 - tau) * n_env
-        assert out.mean_photons() == pytest.approx(expected, abs=1e-12)
+        # thermal inputs: zero mean, so the photon number is Tr V / 2 - 1/2
+        assert np.trace(out.cov) / 2.0 - 0.5 == pytest.approx(expected, abs=1e-12)
 
 
 def test_williamson_isotropic():
@@ -172,26 +165,23 @@ def test_williamson_input_validation():
 
 
 def test_is_physical():
-    ok, nu_min = is_physical(make_thermal(0.0))
-    assert ok and nu_min == pytest.approx(0.5)
-    sub_vacuum = GaussianState(1, np.zeros(2), 0.25 * np.eye(2))
-    ok, nu_min = is_physical(sub_vacuum)
-    assert not ok and nu_min == pytest.approx(0.25)
-    ok, nu_min = is_physical(make_thermal(6250.0))
-    assert ok and nu_min == pytest.approx(6250.5)
-    # an indefinite covariance has no symplectic spectrum: unphysical, not |eigenvalue|
+    dec = williamson(make_thermal(0.0).cov)
+    assert dec.physical and dec.nus[-1] == pytest.approx(0.5)
+    dec = williamson(0.25 * np.eye(2))
+    assert not dec.physical and dec.nus[-1] == pytest.approx(0.25)
+    dec = williamson(make_thermal(6250.0).cov)
+    assert dec.physical and dec.nus[-1] == pytest.approx(6250.5)
+    # an indefinite covariance has no symplectic spectrum: rejected, not |eigenvalue|
     for cov in (np.diag([1.0, -0.5]), -np.eye(2)):
-        ok, nu_min = is_physical(GaussianState(1, np.zeros(2), cov))
-        assert not ok and math.isnan(nu_min)
         with pytest.raises(ValueError, match="positive definite"):
-            symplectic_eigenvalues(cov)
+            williamson(cov)
 
 
 def test_symplectic_eigenvalues_multimode(rng, random_cov):
+    # oracle: the eigenvalues of i Omega V are +-nu_k
     cov = random_cov(rng, 3)
-    nus = symplectic_eigenvalues(cov)
-    dec = williamson(cov)
-    assert np.array_equal(nus, dec.nus)
+    moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(3) @ cov)))[::-1]
+    assert williamson(cov).nus == pytest.approx(moduli[::2], rel=1e-10)
 
 
 def _tmsv_cov(n_idler, n_return, corr):
@@ -222,5 +212,4 @@ def test_williamson_degenerate_and_extreme_spectra(cov):
     recon = np.linalg.norm(dec.S @ dec.diagonal_form() @ dec.S.T - cov) / np.linalg.norm(cov)
     assert recon <= 1e-10
     assert np.abs(dec.S @ omega @ dec.S.T - omega).max() <= 1e-10
-    assert np.array_equal(symplectic_eigenvalues(cov), dec.nus)
     assert np.all(np.diff(dec.nus) <= 0.0)

@@ -30,6 +30,19 @@ def test_channel_validation():
         HomodyneChannel(mu=0.0, lambda0=2.0, lambda1=1.0, copies=1)
     with pytest.raises(ValueError):
         HomodyneChannel(mu=0.0, lambda0=1.0, lambda1=1.0, copies=0)
+    # non-finite and fractional inputs; the non-finite ones gave an all-NaN or flat ROC
+    for fields in (
+        dict(mu=math.nan),
+        dict(mu=math.inf),
+        dict(mu=math.inf, lambda1=math.inf),
+        dict(lambda1=math.inf),
+        dict(lambda0=math.inf, lambda1=math.inf),
+        dict(copies=2.5),
+        dict(copies=math.inf),
+        dict(copies=math.nan),
+    ):
+        with pytest.raises(ValueError):
+            make_channel(**fields)
 
 
 def test_pfa_reference_points():
@@ -131,8 +144,10 @@ def test_monte_carlo_strong_signal_detected():
 
 def test_grid_validation():
     ch = make_channel()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^false-alarm grid values must lie in \(0, 1\)$"):
         roc_homodyne(ch, grid=[0.1, 1.0])
+    with pytest.raises(ValueError, match="^false-alarm grid is empty$"):
+        roc_homodyne(ch, grid=[])
     with pytest.raises(ValueError):
         threshold_for_pfa(0.0, ch)
     with pytest.raises(ValueError):

@@ -256,9 +256,9 @@ def test_roc_amp_above_optical():
 
 def test_roc_grid_validation():
     state = make_thermal(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^epsilon grid values must lie in \(0, 1\)$"):
         roc_asymmetric(state, state, 10, grid=[0.5, 1.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^epsilon grid is empty$"):
         roc_asymmetric(state, state, 10, grid=[])
 
 
