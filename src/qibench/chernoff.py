@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, NumericError, williamson
+from .relent import _check_copies
 
 _S_EDGE = 1e-9
 _NU_CLAMP = 0.5 + 1e-12
@@ -249,8 +250,7 @@ def _bound_from_overlap(
 
 def qbb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResult:
     """Quantum Bhattacharyya bound, the s-overlap fixed at s = 1/2."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    _check_copies(copies)
     return _bound_from_overlap(s_overlap(rho0, rho1, 0.5), copies, evaluations=1)
 
 
@@ -273,8 +273,7 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
     for the first scan, 32 per zoom, 1 for s*; s = 1/2 is not evaluated
     twice) and ``s_bracket`` is the final bracket width.
     """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
+    _check_copies(copies)
 
     pair = _prepare(rho0, rho1)
     s = 0.5 + (0.5 - _S_EDGE) * _UNIT_GRID

@@ -26,6 +26,7 @@ import math
 
 from .chernoff import BoundResult
 from .protocols import Scenario
+from .relent import _check_copies
 
 _SERIES_EPS = 1e-18
 
@@ -69,8 +70,9 @@ def qcb_coherent(signal: float, excess: float, n_b: float, eta: float, copies: i
     The amplified source passes (N_S, N_A), the attenuated maser its
     transmitted photons and n_T, and the optical source excess 0, where the
     bound reduces to (1/2) exp(-M eta N_S (sqrt(N_B+1)-sqrt(N_B))^2).
-    Inputs are validated by :class:`~qibench.protocols.Scenario`.
+    The other inputs are validated by :class:`~qibench.protocols.Scenario`.
     """
+    _check_copies(copies)
     n1 = eta * excess + n_b
     xi1 = _xi1(n1, n_b)
     return _bound(1.0 / xi1, eta * signal * _xi2(n1, n_b), copies)

@@ -377,10 +377,9 @@ def check_structural(seed: int = 20250808, samples: int = 1000) -> CheckResult:
 
 def run_all(seed: int = 20250808, quick: bool = False) -> tuple[list[CheckResult], float]:
     """Run every validation suite; returns the check list and the wall time of the checks."""
-    # the checks import mpmath and scipy.special on first use; importing them
-    # here, before the timer starts, keeps that out of the wall time
+    # the mp checks import mpmath on first use; importing it here, before the
+    # timer starts, keeps that out of the wall time
     import mpmath  # noqa: F401
-    import scipy.special  # noqa: F401
 
     start = time.perf_counter()
     combos = benchmark_combos(quick=quick)

@@ -110,6 +110,14 @@ def test_overlap_domain_errors():
         s_overlap(make_thermal(1.0), two_mode, 0.5)
 
 
+@pytest.mark.parametrize("bound", [qbb, qcb])
+@pytest.mark.parametrize("copies", [math.nan, math.inf, 2.5, 0])
+def test_bounds_reject_copies_that_are_not_whole(bound, copies):
+    # NaN and inf used to give value 0.0, and 2.5 a bound for a fractional copy count
+    with pytest.raises(ValueError, match="whole number"):
+        bound(make_thermal(1.0), make_coherent(0.5), copies)
+
+
 def test_qcb_identical_states():
     state = make_thermal(6250.0)
     bound = qcb(state, state, copies=100)

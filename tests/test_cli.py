@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,6 +236,12 @@ def test_roc_rejects_unsafe_labels(label, tmp_path, capsys):
     assert not out.exists()
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports qibench from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 IMPORT_SURFACE = """
 import importlib.util, json, sys
 HEAVY = ("scipy.linalg._flapack", "scipy.special._ufuncs", "mpmath.libmp")
@@ -265,18 +272,68 @@ print(json.dumps(seen))
 
 def test_heavy_dependencies_load_on_first_use(tmp_path):
     # a fresh interpreter: this test process has long since imported scipy and mpmath
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SURFACE, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=source_env(), timeout=120, check=True,
     )
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == []
     assert seen["fig2_upper"] == []
     assert seen["import_any"] == []
     assert seen["fig2_upper_any"] == []
-    assert seen["fig4_upper"] == ["scipy.special._ufuncs"]
-    assert seen["qbb"] == ["scipy.special._ufuncs"]
-    # the package itself never loads scipy.linalg
-    assert seen["validate"] == ["scipy.special._ufuncs", "mpmath.libmp"]
+    # no stage loads scipy: erfc and its inverse are numpy ports
+    assert seen["fig4_upper"] == []
+    assert seen["qbb"] == []
+    assert seen["validate"] == ["mpmath.libmp"]
+
+
+SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None  # every import of scipy or a submodule now raises ImportError
+from qibench.cli import main
+from qibench.protocols import figure_grid
+out = sys.argv[1]
+scenario = out + "/scenario.json"
+with open(scenario, "w", encoding="utf-8") as f:
+    f.write(figure_grid("fig4_upper")[0].to_json())
+runs = {}
+for name, argv in (
+    ("fig3_upper", ["figure", "fig3_upper", "--out", out]),
+    ("fig4_upper", ["figure", "fig4_upper", "--out", out]),
+    ("roc_homodyne", ["roc", "--scenario", scenario, "--detector", "homodyne", "--out", out]),
+    ("validate", ["validate", "--quick"]),
+):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    runs[name] = [code, stdout.getvalue().replace(out, "<out>")]
+runs["scipy_loaded"] = sorted(m for m, module in sys.modules.items() if m.split(".")[0] == "scipy" and module)
+print(json.dumps(runs))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # the package needs only numpy and mpmath: with scipy blocked every stage
+    # exits 0 and writes what an unblocked run writes
+    runs = {}
+    for mode in ("blocked", "open"):
+        out = tmp_path / mode
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_BLOCKED, str(out), mode],
+            capture_output=True, text=True, env=source_env(), timeout=300, check=True,
+        )
+        runs[mode] = json.loads(proc.stdout.splitlines()[-1])
+    blocked, unblocked = runs["blocked"], runs["open"]
+    assert blocked.pop("scipy_loaded") == unblocked.pop("scipy_loaded") == []
+    assert blocked.keys() == unblocked.keys()
+    for name, (code, stdout) in blocked.items():
+        assert code == 0, name
+        # wall times differ from run to run; nothing else may
+        assert re.sub(r".*wall_time_s.*", "", stdout) == re.sub(r".*wall_time_s.*", "", unblocked[name][1]), name
+    files = sorted(p.name for p in (tmp_path / "blocked").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "open").iterdir())
+    assert len(files) == 6  # two figures with manifests, the scenario and its ROC
+    for name in files:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "open" / name).read_bytes(), name

@@ -186,6 +186,13 @@ def test_limit_forms_reject_inputs_outside_their_domain(limit, args):
         limit(*args)
 
 
+@pytest.mark.parametrize("copies", [math.nan, math.inf, 2.5, 0])
+def test_qcb_coherent_rejects_copies_that_are_not_whole(copies):
+    # NaN and inf used to give value 0.0, and 2.5 a bound for a fractional copy count
+    with pytest.raises(ValueError, match="whole number"):
+        qcb_coherent(1e-2, 6250.0, 6250.0, 0.1, copies)
+
+
 def test_qre_amp_limits():
     d, v = closed_qre(amp(0.5, 0.0, 6250.0, 1e-2))
     g = math.log1p(1.0 / 6250.0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from qibench import special
 from qibench.homodyne import DEFAULT_PFA_GRID
 from qibench.relent import DEFAULT_EPSILON_GRID
-from qibench.special import _erfc_inv_tail, erfc, erfc_inv, normal_quantile
+from qibench.special import _erfc_inv_seed, _erfc_inv_tail, erfc, erfc_inv, normal_quantile
 
 
 def erfc_inv_reference(y):
@@ -132,3 +133,97 @@ def test_elementwise_type_shape_and_domain():
     for f, bad in ((erfc_inv, [0.5, 2.0, 1.0]), (erfc_inv, [math.nan, 0.5]), (normal_quantile, [0.5, 0.0])):
         with pytest.raises(ValueError):
             f(np.array(bad))
+
+
+def around(values, ulps=3):
+    """Each value and its neighbours up to ``ulps`` units in the last place away."""
+    out = []
+    for v in values:
+        lo = hi = float(v)
+        out.append(lo)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+def test_erfc_bit_identical_to_scipy():
+    # scipy evaluates the same Cephes approximations in C: an independent reference
+    rng = np.random.default_rng(20261019)
+    root_maxlog = math.sqrt(special._MAXLOG)  # ~26.64, where exp(-x^2) leaves the normal range
+    edges = around([1.0, -1.0, 8.0, -8.0, root_maxlog, -root_maxlog, 27.3, -27.3, 0.0, 5e-324, -5e-324])
+    xs = np.concatenate(
+        [
+            rng.uniform(-30.0, 30.0, 300_000),
+            rng.uniform(-1.2, 1.2, 100_000),
+            rng.choice([-1.0, 1.0], 60_000) * rng.uniform(7.5, 8.5, 60_000),
+            rng.choice([-1.0, 1.0], 60_000) * rng.uniform(26.0, 28.0, 60_000),
+            10.0 ** rng.uniform(-320.0, 0.0, 20_000),
+            edges,
+            [-0.0, math.nan, -math.nan, math.inf, -math.inf, 28.0, 1e300, -1e300],
+        ]
+    )
+    assert xs.size >= 500_000
+    assert erfc(xs).tobytes() == sp.erfc(xs).tobytes()
+    assert erfc(-0.0) == 1.0 and erfc(27.3) == 0.0 and erfc(-27.3) == 2.0
+
+
+def test_erfc_inv_seed_bit_identical_to_scipy():
+    rng = np.random.default_rng(20261020)
+    e2 = math.exp(-2.0)
+    edges = around(
+        [
+            2.0 * e2,  # ndtri's central piece ends at y/2 = exp(-2) ...
+            2.0 * (1.0 - e2),  # ... and at 1 - exp(-2)
+            2.0 * math.exp(-32.0),  # z = sqrt(-2 ln(y/2)) = 8, between P1/Q1 and P2/Q2
+            2.0 - 2.0 * math.exp(-32.0),
+            1.0,
+            1e-310,
+            2.2250738585072014e-308,  # the smallest normal
+        ]
+    )
+    ys = np.concatenate(
+        [
+            rng.uniform(0.0, 2.0, 200_000),
+            10.0 ** rng.uniform(-323.5, 0.3, 200_000),  # down through the subnormals
+            2.0 - 10.0 ** rng.uniform(-15.7, 0.0, 100_000),
+            edges,
+            [5e-324, 1e-323, 1e-320, np.nextafter(2.0, 0.0)],
+        ]
+    )
+    ys = ys[(0.0 < ys) & (ys < 2.0)]
+    assert ys.size >= 500_000
+    seed = _erfc_inv_seed(ys)
+    assert seed.tobytes() == sp.erfcinv(ys).tobytes()
+    assert seed[ys == 5e-324][0] == math.inf  # half the smallest subnormal rounds to 0
+
+
+def test_erfc_inv_cache_returns_the_same_bits():
+    ys = 2.0 * DEFAULT_PFA_GRID
+    special._cached_erfc_inv.cache_clear()
+    first = erfc_inv(ys)
+    assert special._cached_erfc_inv.cache_info().misses == 1
+    again = erfc_inv(ys.copy())  # an equal copy is a hit
+    square = erfc_inv(ys.reshape(20, 10))  # so is the same content in another shape
+    assert special._cached_erfc_inv.cache_info().hits == 2
+    assert again.tobytes() == first.tobytes() == square.tobytes()
+    assert square.shape == (20, 10)
+    special._cached_erfc_inv.cache_clear()
+    assert erfc_inv(ys).tobytes() == first.tobytes()
+    # an input changed in place is a new key
+    changed = ys.copy()
+    changed[0] = 0.5
+    assert erfc_inv(changed)[0] == erfc_inv(0.5)
+
+
+def test_erfc_inv_results_cannot_be_written():
+    ys = 2.0 * DEFAULT_EPSILON_GRID
+    expected = erfc_inv(ys).tobytes()
+    for out in (erfc_inv(ys), erfc_inv(ys.reshape(6, 10))):
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+        with pytest.raises(ValueError):
+            out.flags.writeable = True
+        with pytest.raises(ValueError):
+            out += 1.0
+    assert erfc_inv(ys).tobytes() == expected
