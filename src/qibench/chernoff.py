@@ -19,11 +19,13 @@ check and pure-mode clamp, the s-independent functions ln(nu + 1/2) and
 theta = artanh(1/(2 nu)) of each symplectic eigenvalue, and the per-mode
 projector P_k = S_k S_k^T of the symplectic column pair of mode k. The
 spectra of the last 8 covariances are cached by content, so ``qbb`` and
-``qcb`` on one pair decompose each state once between them; the cached
-arrays are read-only. The pair joins the two spectra into one list of modes
-and forms d. Evaluating (``_evaluate``) takes an array of s and handles all
-of it in one numpy pass: every mode takes the power s (rho0) or 1 - s (rho1),
-ln det Pi_s is a sum of elementwise functions of that power and nu, and
+``qcb`` on one pair decompose each state once between them, and the states
+of a pair that miss the cache are decomposed in one stacked call; the
+cached arrays are read-only. The pair joins the two spectra into one list
+of modes and forms d. Evaluating (``_evaluate``) takes an array of s and
+handles all of it in one numpy pass: every mode takes the power s (rho0) or
+1 - s (rho1), ln det Pi_s is a sum of elementwise functions of that power
+and nu, and
 Sigma_s = sum_k coth(t_k theta_k) P_k is one weighted sum over all modes of
 both states. A stacked Cholesky factorization Sigma_s = L L^T then gives
 ln det Sigma_s from the diagonal of L and the displacement term as
@@ -33,7 +35,6 @@ ln det Sigma_s from the diagonal of L and the displacement term as
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -105,29 +106,45 @@ class BoundResult:
         return 0.0 - math.log(self.per_mode_overlap)
 
 
-@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _cached_spectrum(dim: int, cov_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    w = williamson(np.frombuffer(cov_bytes).reshape(dim, dim))
-    if not w.physical:
-        raise ValueError("s_overlap requires physical states")
-    nu = np.maximum(w.nus, _NU_CLAMP)
-    # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
-    # 2k + 1, formed elementwise and so exactly symmetric
-    cols = w.S.T.reshape(-1, 2, dim)
-    arrays = (np.log(nu + 0.5), np.arctanh(0.5 / nu), (cols[:, :, :, None] * cols[:, :, None, :]).sum(axis=1))
-    for a in arrays:
-        a.flags.writeable = False
-    return (*arrays, bool(w.nus.min() < _NU_CLAMP))
+# content key (dimension, covariance bytes) -> spectrum, least recently used first
+_spectrum_cache: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
 
 
-def _spectrum(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """ln(nu + 1/2), theta, the per-mode projectors and the clamp flag of a covariance.
+def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
+    """ln(nu + 1/2), theta, the per-mode projectors and the clamp flag of each covariance.
 
-    Cached by content, not identity: an equal copy is a hit and a covariance
-    changed in place is decomposed again. An unphysical covariance raises
-    ValueError on every call, since exceptions are not cached.
+    All covariances share one dimension. The spectra of the last 8 are
+    cached by content, not identity: an equal copy is a hit and a covariance
+    changed in place is decomposed again. The misses are decomposed in one
+    stacked Williamson call. An unphysical covariance is never cached, so it
+    raises ValueError on every call; the physical misses of that call are
+    kept.
     """
-    return _cached_spectrum(cov.shape[0], cov.tobytes())
+    keys = [(cov.shape[0], cov.tobytes()) for cov in covs]
+    misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
+    if misses:
+        w = williamson(np.array(list(misses.values())))
+        nu = np.maximum(w.nus, _NU_CLAMP)
+        # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
+        # 2k + 1, formed elementwise and so exactly symmetric
+        cols = w.S.swapaxes(-1, -2).reshape(*nu.shape, 2, -1)
+        projectors = (cols[..., None] * cols[..., None, :]).sum(axis=-3)
+        ln_top, theta = np.log(nu + 0.5), np.arctanh(0.5 / nu)
+        for a in (ln_top, theta, projectors):
+            a.flags.writeable = False
+        physical, clamped = w.physical.tolist(), (w.nus[..., -1] < _NU_CLAMP).tolist()
+        for k, key in enumerate(misses):
+            if physical[k]:
+                _spectrum_cache[key] = (ln_top[k], theta[k], projectors[k], clamped[k])
+        if not all(physical):
+            raise ValueError("s_overlap requires physical states")
+    # the keys of this call move to the most recent end; the least recent
+    # beyond 8 are dropped
+    for key in keys:
+        _spectrum_cache[key] = _spectrum_cache.pop(key)
+    while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
+        del _spectrum_cache[next(iter(_spectrum_cache))]
+    return [_spectrum_cache[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -154,7 +171,7 @@ def _prepare(rho0: GaussianState, rho1: GaussianState) -> _PreparedPair:
     """Spectra of both states, joined into one list of modes, and the mean difference."""
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
-    (ln0, theta0, proj0, clamped0), (ln1, theta1, proj1, clamped1) = _spectrum(rho0.cov), _spectrum(rho1.cov)
+    (ln0, theta0, proj0, clamped0), (ln1, theta1, proj1, clamped1) = _spectra(rho0.cov, rho1.cov)
     return _PreparedPair(
         modes=rho0.modes,
         ln_top=np.concatenate((ln0, ln1)),

@@ -6,6 +6,7 @@ so a thermal state with n photons per mode has covariance (n + 1/2) * I.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,14 @@ def symplectic_form(modes: int) -> np.ndarray:
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
     return omega
+
+
+@functools.lru_cache(maxsize=8)
+def _i_omega(modes: int) -> np.ndarray:
+    """i Omega, built once per mode count and read-only."""
+    form = 1j * symplectic_form(modes)
+    form.flags.writeable = False
+    return form
 
 
 @dataclass
@@ -63,63 +72,77 @@ class WilliamsonDecomposition:
     """Symplectic matrix S and symplectic eigenvalues of a covariance matrix.
 
     The input V is recovered as S @ diag(nu_1, nu_1, ..., nu_N, nu_N) @ S.T,
-    with S @ Omega @ S.T = Omega and nus sorted descending.
+    with S @ Omega @ S.T = Omega and nus sorted descending. For a stack of
+    covariances every field carries the stack's leading axes: S is
+    (..., 2N, 2N), nus (..., N) and physical a boolean array (...).
     """
 
     S: np.ndarray
     nus: np.ndarray
-    physical: bool
+    physical: bool | np.ndarray
 
     def diagonal_form(self) -> np.ndarray:
-        return np.diag(np.repeat(self.nus, 2))
+        """diag(nu_1, nu_1, ..., nu_N, nu_N), or one such matrix per slice of a stack."""
+        d = np.repeat(self.nus, 2, axis=-1)
+        return d[..., None] * np.eye(d.shape[-1])
 
 
 def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive-definite matrix.
+    """Williamson normal form of a symmetric positive-definite matrix or of a stack of them.
 
-    Each eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
+    ``cov`` is one 2N x 2N matrix or a stack of shape (..., 2N, 2N). Each
+    eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
     nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
     sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
     sorted by descending symplectic eigenvalue, and each is rotated so its
     first significant q entry is positive with vanishing p partner, which
-    makes the output deterministic. nu_min < 1/2 marks V as unphysical; a V
-    that is not positive definite has no symplectic spectrum and raises
-    ValueError.
+    makes the output deterministic. nu_min < 1/2 marks V as unphysical:
+    ``physical`` is a bool for one matrix and a boolean array with one entry
+    per slice for a stack. A V that is not positive definite has no
+    symplectic spectrum and raises ValueError, for a stack if any slice is
+    not. Every step is a per-slice LAPACK or BLAS call or an elementwise
+    operation, so each slice of a stack gives the same bits as a call on
+    that slice alone.
     """
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise ValueError("cov must be a square 2N x 2N matrix")
-    asym = np.abs(cov - cov.T).max()
+    if cov.ndim < 2 or cov.size == 0 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
+        raise ValueError("cov must be a square 2N x 2N matrix or a stack of them")
+    asym = np.abs(cov - cov.swapaxes(-1, -2)).max()
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
-    modes = cov.shape[0] // 2
+    modes = cov.shape[-1] // 2
 
     w, U = np.linalg.eigh(cov)
     if w.min() <= 0.0:
         raise ValueError(f"cov is not positive definite (min eigenvalue {w.min():.3e})")
-    sqrt_cov = (U * np.sqrt(w)) @ U.T
+    sqrt_cov = (U * np.sqrt(w)[..., None, :]) @ U.swapaxes(-1, -2)
     # H is Hermitian with eigenvalues +-nu_k; the top N eigenpairs, in
     # descending order of nu, are kept (the -nu_k partners are their conjugates)
-    nus, vecs = np.linalg.eigh(sqrt_cov @ (1j * symplectic_form(modes)) @ sqrt_cov)
-    nus, vecs = nus[::-1][:modes], vecs[:, ::-1][:, :modes]
-    cols = np.empty((2 * modes, 2 * modes))
-    cols[:, 0::2] = vecs.imag
-    cols[:, 1::2] = vecs.real
-    S = sqrt_cov @ (math.sqrt(2.0) * cols) / np.repeat(np.sqrt(nus), 2)[None, :]
+    nus, vecs = np.linalg.eigh(sqrt_cov @ _i_omega(modes) @ sqrt_cov)
+    nus, vecs = nus[..., : -modes - 1 : -1], vecs[..., : -modes - 1 : -1]
+    cols = np.empty(cov.shape)
+    cols[..., 0::2] = vecs.imag
+    cols[..., 1::2] = vecs.real
+    S = sqrt_cov @ (math.sqrt(2.0) * cols)
+    # uv views S as (slice, row, mode, u/v): each column pair of a mode is
+    # divided by sqrt(nu_k)
+    uv = S.reshape(-1, 2 * modes, modes, 2)
+    uv /= np.sqrt(nus).reshape(-1, 1, modes, 1)
 
-    # canonical in-block rotation: first significant row -> (positive, 0)
-    for j in range(modes):
-        u = S[:, 2 * j].copy()
-        v = S[:, 2 * j + 1].copy()
-        norms = np.hypot(u, v)
-        i0 = int(np.argmax(norms > 1e-8 * norms.max()))
-        r = norms[i0]
-        c, s = u[i0] / r, v[i0] / r
-        S[:, 2 * j] = c * u + s * v
-        S[:, 2 * j + 1] = -s * u + c * v
+    # canonical in-block rotation of each mode's column pair (u, v): its
+    # first significant row -> (positive, 0)
+    u, v = uv[..., 0], uv[..., 1]
+    norms = np.hypot(u, v)
+    i0 = (norms > 1e-8 * norms.max(axis=1, keepdims=True)).argmax(axis=1)
+    cs = uv[np.arange(len(uv))[:, None], i0, np.arange(modes)]
+    cs = cs / np.hypot(cs[..., :1], cs[..., 1:])
+    # (u, v) -> (c u + s v, c v - s u)
+    c_uv, s_uv = uv * cs[:, None, :, :1], uv * cs[:, None, :, 1:]
+    np.add(c_uv[..., 0], s_uv[..., 1], out=u)
+    np.subtract(c_uv[..., 1], s_uv[..., 0], out=v)
 
-    physical = bool(nus[-1] >= 0.5 - _PHYSICALITY_TOL)
-    return WilliamsonDecomposition(S=S, nus=nus, physical=physical)
+    physical = nus[..., -1] >= 0.5 - _PHYSICALITY_TOL
+    return WilliamsonDecomposition(S=S, nus=nus, physical=bool(physical) if cov.ndim == 2 else physical)
 
 
 def make_coherent(n_s: float) -> GaussianState:

@@ -104,8 +104,9 @@ def monte_carlo_roc(
     sigma1 = math.sqrt(ch.copies * ch.lambda1)
     h0 = rng.normal(0.0, sigma0, size=trials)
     h1 = rng.normal(ch.signal_sum, sigma1, size=trials)
-    p_fa = (h0[None, :] > thr[:, None]).mean(axis=1)
-    p_md = (h1[None, :] <= thr[:, None]).mean(axis=1)
+    # one count per threshold, not a thresholds x trials boolean matrix
+    p_fa = np.array([np.count_nonzero(h0 > t) for t in thr]) / trials
+    p_md = np.array([np.count_nonzero(h1 <= t) for t in thr]) / trials
     return RocCurve(
         p_fa=p_fa,
         p_md=p_md,

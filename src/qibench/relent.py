@@ -30,13 +30,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .gaussian import (
-    GaussianState,
-    NumericError,
-    WilliamsonDecomposition,
-    symplectic_form,
-    williamson,
-)
+from .gaussian import GaussianState, NumericError, symplectic_form, williamson
 from .special import normal_quantile
 
 if TYPE_CHECKING:
@@ -81,11 +75,11 @@ def _check_mixed(nus: np.ndarray, who: str) -> None:
         raise _pure_mode_error(who, nus[bad[0]], int(bad[0]))
 
 
-def _gibbs_from_williamson(dec: WilliamsonDecomposition, who: str) -> np.ndarray:
-    """Gibbs matrix of a decomposed covariance; see :func:`gibbs_matrix`."""
-    _check_mixed(dec.nus, who)
-    g = 2.0 * np.arctanh(0.5 / dec.nus)
-    s_inv = np.linalg.solve(dec.S, np.eye(dec.S.shape[0]))
+def _gibbs_from_williamson(S: np.ndarray, nus: np.ndarray, who: str) -> np.ndarray:
+    """Gibbs matrix of a covariance from its Williamson S and nus; see :func:`gibbs_matrix`."""
+    _check_mixed(nus, who)
+    g = 2.0 * np.arctanh(0.5 / nus)
+    s_inv = np.linalg.solve(S, np.eye(S.shape[0]))
     gibbs = s_inv.T @ np.diag(np.repeat(g, 2)) @ s_inv
     return 0.5 * (gibbs + gibbs.T)
 
@@ -97,7 +91,8 @@ def gibbs_matrix(state: GaussianState) -> np.ndarray:
     g(nu) = ln((nu + 1/2) / (nu - 1/2)) to each symplectic eigenvalue and
     conjugating back with S^{-T} (.) S^{-1}.
     """
-    return _gibbs_from_williamson(williamson(state.cov), "state")
+    dec = williamson(state.cov)
+    return _gibbs_from_williamson(dec.S, dec.nus, "state")
 
 
 def _clamp_nonneg(x: float, what: str) -> float:
@@ -109,15 +104,14 @@ def _clamp_nonneg(x: float, what: str) -> float:
 
 
 def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState) -> RelEntResult:
-    dec0 = williamson(rho0.cov)
-    dec1 = williamson(rho1.cov)
-    gibbs1 = _gibbs_from_williamson(dec1, "rho1")
-    gibbs0 = _gibbs_from_williamson(dec0, "rho0")
+    # both states in one stacked decomposition
+    dec = williamson(np.array((rho0.cov, rho1.cov)))
+    nus0, nus1 = dec.nus
+    gibbs1 = _gibbs_from_williamson(dec.S[1], nus1, "rho1")
+    gibbs0 = _gibbs_from_williamson(dec.S[0], nus0, "rho0")
 
     # ln det(V1 + i Omega/2) - ln det(V0 + i Omega/2), paired by sorted spectra
-    lndet_diff = float(
-        np.sum(np.log1p((dec1.nus - dec0.nus) * (dec1.nus + dec0.nus) / (dec0.nus**2 - 0.25)))
-    )
+    lndet_diff = float(np.sum(np.log1p((nus1 - nus0) * (nus1 + nus0) / (nus0**2 - 0.25))))
     trace_diff = float(np.trace(rho0.cov @ (gibbs1 - gibbs0)))
     delta = rho0.mean - rho1.mean
     quad = float(delta @ gibbs1 @ delta)

@@ -24,6 +24,7 @@ from qibench.special import erfc, erfc_inv, normal_quantile
 from qibench.validation import (
     QRE_ORACLE_DPS,
     benchmark_combos,
+    check_structural,
     figure_claim_metrics,
     random_physical_cov,
 )
@@ -183,17 +184,23 @@ def test_criterion_6_special_functions():
     assert median == 0.0
 
 
-def test_criterion_7_structural_invariants():
-    rng = np.random.default_rng(SEED)
-    worst_residual = 0.0
-    for _ in range(1000):
+def williamson_residuals(seed: int, samples: int) -> list[float]:
+    """Reconstruction and symplecticity residual of each random covariance, one at a time."""
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for _ in range(samples):
         modes = int(rng.integers(1, 4))
         cov = random_physical_cov(rng, modes)
         dec = williamson(cov)
         omega = symplectic_form(modes)
         recon = np.linalg.norm(dec.S @ dec.diagonal_form() @ dec.S.T - cov) / np.linalg.norm(cov)
         sympl = np.abs(dec.S @ omega @ dec.S.T - omega).max()
-        worst_residual = max(worst_residual, recon, sympl)
+        residuals.append(max(recon, sympl))
+    return residuals
+
+
+def test_criterion_7_structural_invariants():
+    worst_residual = max(williamson_residuals(SEED, 1000))
 
     worst_path = 0.0
     for fig in ("fig2_upper", "fig2_lower"):
@@ -224,6 +231,15 @@ def test_criterion_7_structural_invariants():
     assert worst_residual <= 1e-10
     assert worst_path <= 1e-12
     assert monotone
+
+
+@pytest.mark.parametrize("seed", range(SEED, SEED + 16))
+def test_stacked_structural_check_matches_per_sample_loop(seed):
+    # check_structural decomposes one stack per mode count; a run of 200
+    # samples draws the first 200 covariances of a run of 1000
+    residuals = williamson_residuals(seed, 1000)
+    for samples in (1000, 200):
+        assert check_structural(seed, samples).metric == max(residuals[:samples])
 
 
 def test_criterion_8_determinism(tmp_path, capsys):

@@ -342,16 +342,20 @@ def test_overlap_of_identical_states_capped_at_one(bound):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """List that grows by one entry per Williamson call of chernoff, starting from an empty cache."""
-    calls = []
+    """List of the covariances chernoff decomposes, one entry per covariance, starting from an empty cache.
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return williamson(*args, **kwargs)
+    A stacked Williamson call adds one entry per matrix of its stack.
+    """
+    decomposed = []
 
-    chernoff._cached_spectrum.cache_clear()
+    def counting(cov):
+        cov = np.asarray(cov)
+        decomposed.extend(cov.reshape(-1, *cov.shape[-2:]))
+        return williamson(cov)
+
+    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
     monkeypatch.setattr(chernoff, "williamson", counting)
-    return calls
+    return decomposed
 
 
 @pytest.mark.parametrize("call", [qcb, qbb, lambda rho0, rho1: s_overlap(rho0, rho1, 0.3)])
@@ -370,8 +374,8 @@ def test_bounds_on_one_pair_decompose_each_state_once(decompositions):
 
 def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
     cov = random_cov(rng, 2)
-    ln_top, theta, projectors, _ = chernoff._spectrum(cov)
-    assert chernoff._spectrum(cov.copy())[2] is projectors
+    [(ln_top, theta, projectors, _)] = chernoff._spectra(cov)
+    assert chernoff._spectra(cov.copy())[0][2] is projectors
     assert len(decompositions) == 1
     for cached in (ln_top, theta, projectors):
         assert not cached.flags.writeable
@@ -381,16 +385,37 @@ def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
 
     changed = cov.copy()
     changed[0, 0] += 1e-9
-    assert chernoff._spectrum(changed)[2] is not projectors
+    assert chernoff._spectra(changed)[0][2] is not projectors
     cov *= 2.0
-    chernoff._spectrum(cov)
+    chernoff._spectra(cov)
     assert len(decompositions) == 3
 
+    # the unphysical state is decomposed, and rejected, on every call; its
+    # physical partner only on the first, where both missed the cache
     unphysical = GaussianState(1, np.zeros(2), 0.4 * np.eye(2))
+    partner = make_thermal(1.0)
     for _ in range(2):
         with pytest.raises(ValueError, match="physical"):
-            qbb(unphysical, make_thermal(1.0))
-    assert len(decompositions) == 5
+            qbb(unphysical, partner)
+    assert len(decompositions) == 6
+    assert [np.array_equal(m, unphysical.cov) for m in decompositions[3:]] == [True, False, True]
+    assert np.array_equal(decompositions[4], partner.cov)
+
+
+def test_spectrum_cache_keeps_the_last_eight(decompositions):
+    states = [make_thermal(n) for n in range(10)]
+    for state in states:
+        chernoff._spectra(state.cov)
+    assert len(decompositions) == 10
+    # 0 and 1 were dropped; the hit on 2 refreshes it, so adding 0 drops 3
+    chernoff._spectra(states[2].cov)
+    chernoff._spectra(states[0].cov, states[9].cov)
+    assert len(decompositions) == 11
+    chernoff._spectra(states[2].cov, states[4].cov)
+    assert len(decompositions) == 11
+    chernoff._spectra(states[3].cov)
+    assert len(decompositions) == 12
+    assert len(chernoff._spectrum_cache) == 8
 
 
 def test_factorization_failure_is_a_numeric_error(monkeypatch):

@@ -155,6 +155,38 @@ def test_williamson_reconstruction_property(rng, random_cov):
     assert worst_sympl < 1e-10
 
 
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_stacked_williamson_matches_each_slice(rng, random_cov, modes):
+    dim = 2 * modes
+    covs = np.stack([random_cov(rng, modes) for _ in range(6)] + [2.5 * np.eye(dim), 0.25 * np.eye(dim)])
+    for shape in ((8,), (2, 4)):
+        dec = williamson(covs.reshape(*shape, dim, dim))
+        assert dec.S.shape == (*shape, dim, dim)
+        assert dec.nus.shape == (*shape, modes)
+        assert dec.physical.shape == shape and dec.physical.dtype == bool
+        assert np.array_equal(dec.diagonal_form().reshape(-1, dim, dim)[3], williamson(covs[3]).diagonal_form())
+        for k in range(8):
+            one = williamson(covs[k])
+            assert np.array_equal(dec.S.reshape(-1, dim, dim)[k], one.S)
+            assert np.array_equal(dec.nus.reshape(-1, modes)[k], one.nus)
+            assert dec.physical.reshape(-1)[k] == one.physical
+    assert list(williamson(covs).physical) == [True] * 7 + [False]
+    assert type(williamson(covs[0]).physical) is bool
+
+
+def test_stacked_williamson_rejects_a_slice_without_spectrum(rng, random_cov):
+    covs = np.stack([random_cov(rng, 1), np.diag([1.0, -0.5]), make_thermal(1.0).cov])
+    with pytest.raises(ValueError, match="positive definite"):
+        williamson(covs)
+    asymmetric = covs.copy()
+    asymmetric[1] = [[1.0, 0.2], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="symmetric"):
+        williamson(asymmetric)
+    for bad in (np.ones((2, 3, 3)), np.ones(4), np.empty((0, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            williamson(bad)
+
+
 def test_williamson_input_validation():
     with pytest.raises(ValueError):
         williamson(np.array([[1.0, 0.2], [0.0, 1.0]]))
