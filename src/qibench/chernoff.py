@@ -21,8 +21,9 @@ projector P_k = S_k S_k^T of the symplectic column pair of mode k. The
 spectra of the last 8 covariances are cached by content, so ``qbb`` and
 ``qcb`` on one pair decompose each state once between them, and the states
 of a pair that miss the cache are decomposed in one stacked call; the
-cached arrays are read-only. The pair joins the two spectra into one list
-of modes and forms d. Evaluating (``_evaluate``) takes an array of s and
+cached arrays are read-only; inside a ``relent._shared_mp_forms()`` block
+nothing is evicted. The pair joins the two spectra into one list of modes
+and forms d. Evaluating (``_evaluate``) takes an array of s and
 handles all of it in one numpy pass: every mode takes the power s (rho0) or
 1 - s (rho1), ln det Pi_s is a sum of elementwise functions of that power
 and nu, and
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import relent
 from .gaussian import GaussianState, NumericError, williamson
 from .relent import _check_copies
 
@@ -115,8 +117,8 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
 
     All covariances share one dimension. The spectra of the last 8 are
     cached by content, not identity: an equal copy is a hit and a covariance
-    changed in place is decomposed again. The misses are decomposed in one
-    stacked Williamson call. An unphysical covariance is never cached, so it
+    changed in place is decomposed again; inside a shared-forms block all
+    are kept. The misses are decomposed in one stacked Williamson call. An unphysical covariance is never cached, so it
     raises ValueError on every call; the physical misses of that call are
     kept.
     """
@@ -138,13 +140,18 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
                 _spectrum_cache[key] = (ln_top[k], theta[k], projectors[k], clamped[k])
         if not all(physical):
             raise ValueError("s_overlap requires physical states")
-    # the keys of this call move to the most recent end; the least recent
-    # beyond 8 are dropped
+    # the keys of this call move to the most recent end
     for key in keys:
         _spectrum_cache[key] = _spectrum_cache.pop(key)
+    if relent._mp_forms_memo is None:
+        _trim_spectrum_cache()
+    return [_spectrum_cache[key] for key in keys]
+
+
+def _trim_spectrum_cache() -> None:
+    """Drop the least recently used spectra beyond 8."""
     while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
         del _spectrum_cache[next(iter(_spectrum_cache))]
-    return [_spectrum_cache[key] for key in keys]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ the two Sigma terms is assembled pairwise so nearby states do not lose all
 significance. For grid corners where D itself is a near-cancellation below
 float64 resolution, :func:`relative_entropy` accepts ``dps`` to run the
 identical formulas in mpmath arbitrary precision. A check that evaluates
-many pairs at one ``dps`` wraps its loop in ``_shared_mp_forms()``: inside
-that block each distinct covariance is converted and decomposed once, and
-the forms are dropped when the block ends. mpmath is imported inside the
-functions of that path, so the f64 path never loads it.
+many pairs wraps its loop in ``_shared_mp_forms()``: inside that block each
+distinct covariance is decomposed once, the terms of D and V that need no
+means once per pair of covariances, and the f64 spectra of
+:mod:`qibench.chernoff` are all kept; all is dropped when the block ends.
+mpmath is imported inside the functions of that path, so the f64 path
+never loads it.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -169,25 +171,34 @@ def _mp_trace_of_product(a: mp.matrix, b: mp.matrix) -> mp.mpf:
     return mp.fdot((a[i, j], b[j, i]) for i in range(n) for j in range(n))
 
 
-# covariance bytes and dps -> (mp covariance, Gibbs matrix, ln det), while
-# a _shared_mp_forms() block is open; None outside every block
+# covariance bytes and dps -> (mp covariance, Gibbs matrix, ln det), and the
+# bytes of a pair of covariances and dps -> its terms in _rel_ent_mp, while a
+# _shared_mp_forms() block is open; None outside every block
 _mp_forms_memo: dict | None = None
+_mp_pair_memo: dict | None = None
 
 
 @contextmanager
 def _shared_mp_forms() -> Iterator[dict]:
-    """Share the mp forms of equal covariances between the calls in this block.
+    """Share the mp forms of equal covariances, and the terms of equal pairs, in this block.
 
-    Yields the dict of the forms computed so far; a nested block reuses the
-    dict of the outermost one, which is dropped when that block ends.
+    Yields the dict of the covariance forms computed so far; a nested block
+    reuses the dicts of the outermost one, which are dropped when that block
+    ends. The f64 spectrum cache of :mod:`qibench.chernoff` evicts nothing
+    while a block is open and is trimmed back to 8 when the outermost ends.
     """
-    global _mp_forms_memo
-    outer = _mp_forms_memo
-    _mp_forms_memo = {} if outer is None else outer
+    global _mp_forms_memo, _mp_pair_memo
+    outer = _mp_forms_memo, _mp_pair_memo
+    if _mp_forms_memo is None:
+        _mp_forms_memo, _mp_pair_memo = {}, {}
     try:
         yield _mp_forms_memo
     finally:
-        _mp_forms_memo = outer
+        _mp_forms_memo, _mp_pair_memo = outer
+        if _mp_forms_memo is None:
+            from .chernoff import _trim_spectrum_cache
+
+            _trim_spectrum_cache()
 
 
 def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
@@ -196,33 +207,40 @@ def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix
     Keyed by contents, not identity, so a covariance changed in place is
     decomposed again; a covariance that fails to decompose is not kept.
     """
+    memo = {} if _mp_forms_memo is None else _mp_forms_memo
     key = (cov.shape, cov.tobytes(), dps)
-    if _mp_forms_memo is not None and key in _mp_forms_memo:
-        return _mp_forms_memo[key]
-    forms = _mp_gibbs_lndet(cov, who)
-    if _mp_forms_memo is not None:
-        _mp_forms_memo[key] = forms
-    return forms
+    if key not in memo:
+        memo[key] = _mp_gibbs_lndet(cov, who)
+    return memo[key]
 
 
 def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntResult:
     import mpmath as mp
 
     with mp.workdps(dps):
-        cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
-        _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
-        delta = mp.matrix(rho0.mean) - mp.matrix(rho1.mean)
-        g1_delta = gibbs1 * delta
-        quad = (delta.T * g1_delta)[0]
-        d = (lndet1 - lndet0 + _mp_trace_of_product(cov0, gibbs1 - gibbs0) + quad) / 2
-        gamma = gibbs0 - gibbs1
-        gv = gamma * cov0
-        go = gamma * mp.matrix(symplectic_form(rho0.modes))
-        v = (
-            _mp_trace_of_product(gv, gv) / 2
-            + _mp_trace_of_product(go, go) / 8
-            + (g1_delta.T * cov0 * g1_delta)[0]
-        )
+        # the terms of D and V that need no means, with V0 and G1 as lists of
+        # rows, shared by the pairs of equal covariances in a block
+        memo = {} if _mp_pair_memo is None else _mp_pair_memo
+        key = (rho0.cov.shape, rho0.cov.tobytes(), rho1.cov.tobytes(), dps)
+        if key not in memo:
+            cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
+            _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
+            gamma = gibbs0 - gibbs1
+            gv = gamma * cov0
+            go = gamma * mp.matrix(symplectic_form(rho0.modes))
+            memo[key] = (
+                lndet1 - lndet0 + _mp_trace_of_product(cov0, gibbs1 - gibbs0),
+                _mp_trace_of_product(gv, gv) / 2 + _mp_trace_of_product(go, go) / 8,
+                cov0.tolist(),
+                gibbs1.tolist(),
+            )
+        d_cov, v_cov, cov0, gibbs1 = memo[key]
+        delta = [mp.mpf(a) - mp.mpf(b) for a, b in zip(rho0.mean.tolist(), rho1.mean.tolist())]
+        # each entry of an mp.matrix product is one fdot, rounded once, so
+        # these lists give the bits of the matrix products
+        g1_delta = [mp.fdot(row, delta) for row in gibbs1]
+        d = (d_cov + mp.fdot(delta, g1_delta)) / 2
+        v = v_cov + mp.fdot([mp.fdot(g1_delta, column) for column in zip(*cov0)], g1_delta)
         return RelEntResult(
             d=_clamp_nonneg(float(d), "relative entropy"),
             v=_clamp_nonneg(float(v), "relative entropy variance"),

@@ -6,7 +6,7 @@ import pytest
 
 from qibench import relent
 from qibench.closed_forms import closed_qre
-from qibench.gaussian import GaussianState, make_coherent, make_thermal
+from qibench.gaussian import GaussianState, make_coherent, make_thermal, symplectic_form
 from qibench.protocols import figure_grid, hypothesis_pair
 from qibench.relent import (
     DEFAULT_EPSILON_GRID,
@@ -310,6 +310,64 @@ def test_shared_mp_forms_nest_and_end(mp_decompositions):
     # outside every block each call decomposes both states
     relative_entropy(rho0, rho0, dps=30)
     assert len(calls) == 8
+
+
+def _matrix_mp_oracle(rho0, rho1, dps):
+    """(D, V) at ``dps`` digits from whole mp.matrix products, term by term as the oracle sums them."""
+    with mp.workdps(dps):
+        cov0, gibbs0, lndet0 = relent._mp_gibbs_lndet(rho0.cov, "rho0")
+        _, gibbs1, lndet1 = relent._mp_gibbs_lndet(rho1.cov, "rho1")
+        delta = mp.matrix(rho0.mean) - mp.matrix(rho1.mean)
+        g1_delta = gibbs1 * delta
+        quad = (delta.T * g1_delta)[0]
+        d = (lndet1 - lndet0 + relent._mp_trace_of_product(cov0, gibbs1 - gibbs0) + quad) / 2
+        gamma = gibbs0 - gibbs1
+        gv = gamma * cov0
+        go = gamma * mp.matrix(symplectic_form(rho0.modes))
+        v = (
+            relent._mp_trace_of_product(gv, gv) / 2
+            + relent._mp_trace_of_product(go, go) / 8
+            + (g1_delta.T * cov0 * g1_delta)[0]
+        )
+        return float(d), float(v)
+
+
+@pytest.fixture
+def pair_terms(monkeypatch):
+    """List that grows by three entries per pair whose mean-free mp terms are formed."""
+    calls = []
+    trace = relent._mp_trace_of_product
+
+    def counting(a, b):
+        calls.append(None)
+        return trace(a, b)
+
+    monkeypatch.setattr(relent, "_mp_trace_of_product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_pairs_differing_in_means_share_their_covariance_terms(pair_terms, rng, random_cov, modes):
+    cov0, cov1 = random_cov(rng, modes), random_cov(rng, modes)
+    pairs = [
+        tuple(GaussianState(modes, rng.normal(size=2 * modes), cov) for cov in (cov0, cov1)) for _ in range(4)
+    ]
+    outside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    assert len(pair_terms) == 3 * len(pairs)
+    # the list-based mean terms give the bits of the matrix products
+    assert outside == [_matrix_mp_oracle(x, y, 50) for x, y in pairs]
+
+    pair_terms.clear()
+    with relent._shared_mp_forms():
+        inside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+        assert len(pair_terms) == 3
+        # the order of the pair and the precision are part of the key
+        relative_entropy(pairs[0][1], pairs[0][0], dps=50)
+        relative_entropy(*pairs[0], dps=40)
+        assert len(pair_terms) == 9
+        assert inside == [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+        assert len(pair_terms) == 9
+    assert inside == outside
 
 
 def _two_mode_pair():

@@ -1,15 +1,27 @@
+import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import qibench.closed_forms as closed_forms
-from qibench.chernoff import BoundResult
+from qibench import chernoff, special, validation
+from qibench.chernoff import BoundResult, qbb
 from qibench.closed_forms import closed_bound, closed_qre
+from qibench.gaussian import williamson
 from qibench.protocols import hypothesis_pair
 from qibench.validation import (
+    CheckResult,
+    _rel_dev,
     benchmark_combos,
+    check_amplifier_free_limit,
+    check_homodyne_monte_carlo,
     check_qcb_equivalence,
     check_qre_equivalence,
+    run_all,
 )
 
 
@@ -69,6 +81,142 @@ def test_fault_injection_is_caught(monkeypatch):
     result = check_qcb_equivalence(benchmark_combos(quick=True))
     assert not result.passed
     assert result.metric == pytest.approx(1e-4, rel=1e-2)
+
+
+def _nan_exponent(monkeypatch):
+    real = closed_forms.qcb_coherent
+    monkeypatch.setattr(
+        closed_forms, "qcb_coherent", lambda *args: dataclasses.replace(real(*args), mean_exponent=math.nan)
+    )
+
+
+def test_nan_closed_exponent_fails_the_grid_checks(monkeypatch):
+    # a NaN compares false with every worst-so-far, so it must not be skipped
+    _nan_exponent(monkeypatch)
+    result = check_qcb_equivalence(benchmark_combos(quick=True))
+    assert not result.passed
+    assert result.metric == math.inf
+    assert "worst at amp_eta1e-08_ns0.001_na0_nb1;" in result.detail
+    limit = check_amplifier_free_limit()
+    assert not limit.passed
+    assert limit.metric == math.inf
+
+
+def test_nan_closed_qre_fails_the_check(monkeypatch):
+    real = closed_forms.closed_qre
+    monkeypatch.setattr(closed_forms, "closed_qre", lambda scenario: (real(scenario)[0], math.nan))
+    result = check_qre_equivalence(benchmark_combos(quick=True))
+    assert not result.passed
+    assert result.metric == math.inf
+    assert "worst at amp_eta1e-08_ns0.001_na0_nb1" in result.detail
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, -math.inf)])
+def test_rel_dev_of_a_non_finite_value_is_inf(a, b):
+    assert _rel_dev(a, b) == math.inf
+
+
+@pytest.fixture
+def williamson_stacks(monkeypatch):
+    """Stack sizes of the Williamson calls chernoff makes, starting from an empty spectrum cache."""
+    stacks = []
+
+    def counting(cov):
+        cov = np.asarray(cov)
+        stacks.append(cov.reshape(-1, *cov.shape[-2:]).shape[0])
+        return williamson(cov)
+
+    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
+    monkeypatch.setattr(chernoff, "williamson", counting)
+    return stacks
+
+
+def _qcb_check_per_combo(combos):
+    """check_qcb_equivalence as one qbb per combo, outside any shared-forms block."""
+    worst, worst_pre, worst_label = 0.0, 0.0, ""
+    for scenario in combos:
+        pair = hypothesis_pair(scenario)
+        oracle = qbb(pair.rho0, pair.rho1, scenario.copies)
+        closed = closed_bound(scenario)
+        dev = _rel_dev(closed.mean_exponent, oracle.mean_exponent)
+        if dev > worst:
+            worst, worst_label = dev, scenario.label
+        worst_pre = max(worst_pre, _rel_dev(closed.prefactor, oracle.prefactor))
+    return CheckResult(
+        name="qcb_exponent_closed_vs_oracle",
+        passed=worst <= 1e-6,
+        metric=worst,
+        threshold=1e-6,
+        detail=f"{len(combos)} combos, worst at {worst_label}; prefactor diag dev {worst_pre:.3e}",
+    )
+
+
+@pytest.mark.parametrize("quick, distinct", [(False, 48), (True, 30)])
+def test_qcb_check_decomposes_its_grid_in_one_stack(williamson_stacks, quick, distinct):
+    combos = benchmark_combos(quick=quick)
+    result = check_qcb_equivalence(combos)
+    assert williamson_stacks == [distinct]
+    assert len(chernoff._spectrum_cache) <= 8
+    # the reference decomposes again: the cache kept only the last 8 spectra
+    reference = _qcb_check_per_combo(combos)
+    assert len(williamson_stacks) > 1
+    assert result == reference
+
+
+VALIDATE_CHECKS = [
+    "qcb_exponent_closed_vs_oracle",
+    "qre_closed_vs_oracle",
+    "limit_amp_na0_equals_optical",
+    "limit_high_background_2e-5",
+    "tmsv_factor_four",
+    "fig2_upper_mas10K_within_1pct_of_optical",
+    "fig2_upper_amp_strictly_below_maser",
+    "fig2_upper_mas300K_overlaps_amp",
+    "fig2_lower_masers_overlap_optical",
+    "homodyne_monte_carlo_4sigma",
+    "erfc_inv_round_trip",
+    "structural_invariants",
+]
+
+
+def test_run_all_keeps_its_order_with_the_monte_carlo_check_beside_it():
+    results, wall_time = run_all(seed=20250811, quick=True)
+    assert [r.name for r in results] == VALIDATE_CHECKS
+    assert results[VALIDATE_CHECKS.index("homodyne_monte_carlo_4sigma")] == check_homodyne_monte_carlo(
+        seed=20250811, trials=100_000
+    )
+    assert wall_time > 0.0
+
+
+def test_run_all_raises_the_monte_carlo_check_error_and_ends_its_thread(monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected Monte Carlo failure")
+
+    monkeypatch.setattr(validation, "check_homodyne_monte_carlo", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected Monte Carlo failure"):
+        run_all(quick=True)
+    assert threading.active_count() == threads
+
+
+def test_erfc_inv_cache_is_safe_across_threads():
+    # the Monte Carlo worker shares only erfc_inv's cache with the other
+    # checks; more threads than cores hammer it with more inputs than it holds
+    grids = [np.geomspace(1e-6, 1.9, n) for n in range(40, 52)]
+    expected = [special._cached_erfc_inv.__wrapped__(g.tobytes()) for g in grids]
+
+    def work(first):
+        for i in range(first, first + 10 * len(grids)):
+            assert np.array_equal(special.erfc_inv(grids[i % len(grids)]), expected[i % len(grids)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(work, k) for k in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_closed_bound_covers_all_kinds():
