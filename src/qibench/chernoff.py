@@ -14,24 +14,26 @@ validated against pure-state overlaps, thermal-state spectral sums and
 Fock-space numerics in the test suite.
 
 The work is split in two steps. Preparing a pair (``_prepare``) looks up
-the spectrum of each covariance: its Williamson decomposition, physicality
+the spectrum of each covariance: its symplectic decomposition, physicality
 check and pure-mode clamp, the s-independent functions ln(nu + 1/2) and
 theta = artanh(1/(2 nu)) of each symplectic eigenvalue, and the per-mode
-projector P_k = S_k S_k^T of the symplectic column pair of mode k. The
-spectra of the last 8 covariances are cached by content, so ``qbb`` and
-``qcb`` on one pair decompose each state once between them, and the states
-of a pair that miss the cache are decomposed in one stacked call; the
-cached arrays are read-only; inside a ``relent._shared_mp_forms()`` block
-nothing is evicted. The pair joins the two spectra into one list of modes
-and forms d. Evaluating (``_evaluate``) takes an array of s and
-handles all of it in one numpy pass: every mode takes the power s (rho0) or
-1 - s (rho1), ln det Pi_s is a sum of elementwise functions of that power
-and nu, and
+projector P_k = S_k S_k^T of the symplectic column pair of mode k. P_k does
+not see a rotation within the pair, so the decomposition stops before the
+canonical rotation that ``williamson`` applies. The spectra of the last 8
+covariances are cached by content, so ``qbb`` and ``qcb`` on one pair
+decompose each state once between them, and the states of a pair that miss
+the cache are decomposed in one stacked call; the cached arrays are
+read-only; inside a ``relent._shared_mp_forms()`` block nothing is evicted.
+The pair joins the two spectra into one list of modes and forms d.
+Evaluating (``_evaluate``) takes an array of s and handles all of it in one
+numpy pass: every mode takes the power s (rho0) or 1 - s (rho1), ln det
+Pi_s is a sum of elementwise functions of that power and nu, and
 Sigma_s = sum_k coth(t_k theta_k) P_k is one weighted sum over all modes of
 both states. A stacked Cholesky factorization Sigma_s = L L^T then gives
 ln det Sigma_s from the diagonal of L and the displacement term as
 |L^{-1} d|^2. ``s_overlap`` and ``qbb`` evaluate a one-element array;
-``qcb`` evaluates a grid of s per step of its search.
+``qcb`` evaluates a grid of s per step of its search, each zoom clustered
+geometrically at a parabolic vertex, about four calls in all.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relent
-from .gaussian import GaussianState, NumericError, williamson
+from .gaussian import GaussianState, NumericError, _symplectic_pairs
 from .relent import _check_copies
 
 _S_EDGE = 1e-9
@@ -53,7 +55,9 @@ _SCAN_POINTS = 33
 # puts its middle point exactly at the centre, so the first scan has s = 1/2
 _UNIT_GRID = np.linspace(-1.0, 1.0, _SCAN_POINTS)
 _MID = _SCAN_POINTS // 2
-_OFF_MID = np.arange(_SCAN_POINTS) != _MID
+# offsets of a zoom grid from the parabolic vertex, as fractions of the
+# distance to each end of the bracket: 1 down to 1e-12, geometrically
+_GEOM = np.geomspace(1.0, 1e-12, _MID)
 # covariances whose spectra are kept: enough for the pairs of one operation
 # (qbb and qcb of one pair), far fewer than the distinct states of a sweep
 _SPECTRUM_CACHE_SIZE = 8
@@ -88,8 +92,9 @@ class BoundResult:
     prefactor, value = (1/2) * prefactor * exp(-copies * mean_exponent).
     clamped flags a pure-mode regularization in the underlying overlap.
     evaluations counts the s-points the bound evaluated (1 for qbb, 0 for
-    closed forms), and s_bracket is the width of the final bracket of the
-    s-search, None where no search ran.
+    closed forms), s_bracket is the width of the final bracket of the
+    s-search and stop says why :func:`qcb` returned ("bracket", "flat",
+    "half" or "indistinguishable"); both are None where no search ran.
     """
 
     value: float
@@ -101,6 +106,7 @@ class BoundResult:
     clamped: bool = False
     evaluations: int = 0
     s_bracket: float | None = None
+    stop: str | None = None
 
     @property
     def per_mode_exponent(self) -> float:
@@ -118,14 +124,15 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     All covariances share one dimension. The spectra of the last 8 are
     cached by content, not identity: an equal copy is a hit and a covariance
     changed in place is decomposed again; inside a shared-forms block all
-    are kept. The misses are decomposed in one stacked Williamson call. An unphysical covariance is never cached, so it
-    raises ValueError on every call; the physical misses of that call are
-    kept.
+    are kept. The misses are decomposed in one stacked call, without the
+    canonical rotation of ``williamson``, which P_k does not see. An
+    unphysical covariance is never cached, so it raises ValueError on every
+    call; the physical misses of that call are kept.
     """
     keys = [(cov.shape[0], cov.tobytes()) for cov in covs]
     misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
     if misses:
-        w = williamson(np.array(list(misses.values())))
+        w = _symplectic_pairs(np.array(list(misses.values())))
         nu = np.maximum(w.nus, _NU_CLAMP)
         # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
         # 2k + 1, formed elementwise and so exactly symmetric
@@ -254,7 +261,7 @@ def _ln_c(res: OverlapResult) -> float:
 
 
 def _bound_from_overlap(
-    res: OverlapResult, copies: int, evaluations: int, s_bracket: float | None = None
+    res: OverlapResult, copies: int, evaluations: int, s_bracket: float | None = None, stop: str | None = None
 ) -> BoundResult:
     # C_s <= 1 for any two states (Hoelder), so a positive ln C is rounding
     ln_c = min(_ln_c(res), 0.0)
@@ -269,6 +276,7 @@ def _bound_from_overlap(
         clamped=res.clamped,
         evaluations=evaluations,
         s_bracket=s_bracket,
+        stop=stop,
     )
 
 
@@ -281,21 +289,22 @@ def qbb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
 def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResult:
     """Quantum Chernoff bound (1/2) (inf_s C_s)^M.
 
-    ln C_s is convex in s, so its minimum over [1e-9, 1 - 1e-9] is found by
-    scan and zoom: ln C_s is evaluated at 33 evenly spaced s (the middle one
-    exactly 1/2) in one batched call, the bracket shrinks to the two grid
-    points around the lowest value, and a fresh 33-point grid is laid over
-    it. The search stops once the bracket is at most 1e-10 wide, or below
-    1e-6 with its three values within 1e-13 of each other; one parabolic
-    step through those three points then refines s*. The pair is decomposed
-    once. Each zoom grid is centred exactly on a point of the previous grid,
-    whose values are reused, so a zoom evaluates 32 new points. s* is
-    evaluated again on its own, as :func:`s_overlap` does, and the s = 1/2
-    overlap of the first scan is returned instead when it is lower or the
-    states are indistinguishable (C > 1 - 1e-12), so the result never
-    exceeds :func:`qbb`'s. ``evaluations`` counts the s-points evaluated (33
-    for the first scan, 32 per zoom, 1 for s*; s = 1/2 is not evaluated
-    twice) and ``s_bracket`` is the final bracket width.
+    ln C_s is convex in s, so on any sorted grid its minimum over
+    [1e-9, 1 - 1e-9] lies between the neighbours of the lowest point. The
+    search evaluates ln C_s at 33 evenly spaced s (the middle one exactly
+    1/2) in one batched call, then lays a fresh 33-point grid over that
+    bracket: v and 16 points on each side of it, at 1 down to 1e-12 of the
+    way to that end, where v is the vertex of the parabola through the three
+    points when the middle one is the lowest; otherwise a uniform 16x zoom
+    onto the lowest point, which is what a flat ln C_s needs. It stops once
+    the bracket is at most 1e-10 wide (``stop`` "bracket"), or below 1e-6
+    with its three values within 1e-13 of each other ("flat"); that vertex
+    is then s*, evaluated again on its own, as :func:`s_overlap` does. The
+    s = 1/2 overlap of the first scan is returned instead when it is lower
+    ("half") or the states are indistinguishable, C > 1 - 1e-12
+    ("indistinguishable"), so the result never exceeds :func:`qbb`'s.
+    ``evaluations`` counts the s-points evaluated (33 per grid, 1 for s*)
+    and ``s_bracket`` is the final bracket width. The pair is decomposed once.
     """
     _check_copies(copies)
 
@@ -309,32 +318,34 @@ def qcb(rho0: GaussianState, rho1: GaussianState, copies: int = 1) -> BoundResul
         best = int(np.argmin(ln_c))
         # the minimum lies between the neighbours of the lowest grid point
         j = min(max(best, 1), _SCAN_POINTS - 2)
-        width = s[j + 1] - s[j - 1]
-        if width <= _S_TOL or (width < 1e-6 and np.ptp(ln_c[j - 1 : j + 2]) < 1e-13):
+        (x0, x1, x2), (f0, f1, f2) = s[j - 1 : j + 2].tolist(), ln_c[j - 1 : j + 2].tolist()
+        width = x2 - x0
+        # the vertex of the parabola through the three points, which lies
+        # between the outer two when the middle one is the lowest
+        denom = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
+        vertex = x1 - 0.5 * ((x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)) / denom if denom else x1
+        parabolic = best == j and x0 < vertex < x2
+        if width <= _S_TOL or (width < 1e-6 and max(f0, f1, f2) - min(f0, f1, f2) < 1e-13):
             break
-        # the new grid is centred exactly on s[j], whose values are known
-        known = ln_pre[j], mean_exponent[j]
-        s = s[j] + 0.5 * width * _UNIT_GRID
-        fresh = _evaluate(pair, s[_OFF_MID])
-        ln_pre, mean_exponent = (np.concatenate((v[:_MID], [k], v[_MID:])) for v, k in zip(fresh, known))
-        evaluations += s.size - 1
+        if parabolic:
+            s = np.concatenate((vertex - (vertex - x0) * _GEOM, [vertex], vertex + (x2 - vertex) * _GEOM[::-1]))
+        else:
+            # the lowest point is an end of the bracket: a uniform 16x zoom on s[j]
+            s = x1 + 0.5 * width * _UNIT_GRID
+        ln_pre, mean_exponent = _evaluate(pair, s)
+        evaluations += s.size
 
-    # one parabolic step through the final three points when the middle one
-    # is the lowest, so that the parabola has its vertex between them
-    s_star = float(s[best])
-    (x0, x1, x2), (f0, f1, f2) = s[j - 1 : j + 2], ln_c[j - 1 : j + 2]
-    denom = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
-    if best == j and denom != 0.0:
-        step = float(x1 - 0.5 * ((x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)) / denom)
-        if x0 < step < x2:
-            s_star = step
+    # one parabolic step through the final three points
+    s_star = vertex if parabolic else float(s[best])
     result = _overlap(pair, s_star)
     evaluations += 1
+    stop = "bracket" if width <= _S_TOL else "flat"
 
     # indistinguishable hypotheses (C = 1 for every s) report s* = 1/2, and
     # so does a search that ended a rounding error above the s = 1/2 overlap,
     # in C or in the ln C that value is formed from: neither exceeds qbb's
-    if result.s != 0.5:
-        if result.c_s > 1.0 - 1e-12 or half.c_s < result.c_s or _ln_c(half) < _ln_c(result):
-            result = half
-    return _bound_from_overlap(result, copies, evaluations, float(width))
+    if result.c_s > 1.0 - 1e-12:
+        result, stop = half, "indistinguishable"
+    elif result.s != 0.5 and (half.c_s < result.c_s or _ln_c(half) < _ln_c(result)):
+        result, stop = half, "half"
+    return _bound_from_overlap(result, copies, evaluations, width, stop)

@@ -88,6 +88,7 @@ def _oracle_row(scenario: Scenario) -> tuple[dict, list[str]]:
         "total_exponent_per_mode": minimized.per_mode_exponent,
         "evaluations": minimized.evaluations,
         "s_bracket": minimized.s_bracket,
+        "stop": minimized.stop,
         "copies": minimized.copies,
     }
     return row, notes

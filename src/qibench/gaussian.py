@@ -87,22 +87,12 @@ class WilliamsonDecomposition:
         return d[..., None] * np.eye(d.shape[-1])
 
 
-def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
-    """Williamson normal form of a symmetric positive-definite matrix or of a stack of them.
+def _symplectic_pairs(cov: np.ndarray) -> WilliamsonDecomposition:
+    """Williamson decomposition without the canonical in-block rotation of each mode's column pair.
 
-    ``cov`` is one 2N x 2N matrix or a stack of shape (..., 2N, 2N). Each
-    eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
-    nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
-    sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
-    sorted by descending symplectic eigenvalue, and each is rotated so its
-    first significant q entry is positive with vanishing p partner, which
-    makes the output deterministic. nu_min < 1/2 marks V as unphysical:
-    ``physical`` is a bool for one matrix and a boolean array with one entry
-    per slice for a stack. A V that is not positive definite has no
-    symplectic spectrum and raises ValueError, for a stack if any slice is
-    not. Every step is a per-slice LAPACK or BLAS call or an elementwise
-    operation, so each slice of a stack gives the same bits as a call on
-    that slice alone.
+    The column pair of mode k is fixed only up to a rotation within the
+    pair, which leaves S_k S_k^T, the spectrum and ``physical`` unchanged;
+    :func:`williamson` takes this result and fixes that rotation.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim < 2 or cov.size == 0 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
@@ -129,8 +119,32 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     uv = S.reshape(-1, 2 * modes, modes, 2)
     uv /= np.sqrt(nus).reshape(-1, 1, modes, 1)
 
+    physical = nus[..., -1] >= 0.5 - _PHYSICALITY_TOL
+    return WilliamsonDecomposition(S=S, nus=nus, physical=bool(physical) if cov.ndim == 2 else physical)
+
+
+def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
+    """Williamson normal form of a symmetric positive-definite matrix or of a stack of them.
+
+    ``cov`` is one 2N x 2N matrix or a stack of shape (..., 2N, 2N). Each
+    eigenvector u_k of H = V^(1/2) (i Omega) V^(1/2) with eigenvalue
+    nu_k > 0 gives the column pair V^(1/2) [sqrt2 Im u_k, sqrt2 Re u_k] /
+    sqrt(nu_k) of S, the algorithm of the mpmath relative entropy. Pairs are
+    sorted by descending symplectic eigenvalue, and each is rotated so its
+    first significant q entry is positive with vanishing p partner, which
+    makes the output deterministic. nu_min < 1/2 marks V as unphysical:
+    ``physical`` is a bool for one matrix and a boolean array with one entry
+    per slice for a stack. A V that is not positive definite has no
+    symplectic spectrum and raises ValueError, for a stack if any slice is
+    not. Every step is a per-slice LAPACK or BLAS call or an elementwise
+    operation, so each slice of a stack gives the same bits as a call on
+    that slice alone.
+    """
+    w = _symplectic_pairs(cov)
+    modes = w.nus.shape[-1]
     # canonical in-block rotation of each mode's column pair (u, v): its
     # first significant row -> (positive, 0)
+    uv = w.S.reshape(-1, 2 * modes, modes, 2)
     u, v = uv[..., 0], uv[..., 1]
     norms = np.hypot(u, v)
     i0 = (norms > 1e-8 * norms.max(axis=1, keepdims=True)).argmax(axis=1)
@@ -140,9 +154,7 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     c_uv, s_uv = uv * cs[:, None, :, :1], uv * cs[:, None, :, 1:]
     np.add(c_uv[..., 0], s_uv[..., 1], out=u)
     np.subtract(c_uv[..., 1], s_uv[..., 0], out=v)
-
-    physical = nus[..., -1] >= 0.5 - _PHYSICALITY_TOL
-    return WilliamsonDecomposition(S=S, nus=nus, physical=bool(physical) if cov.ndim == 2 else physical)
+    return w
 
 
 def make_coherent(n_s: float) -> GaussianState:

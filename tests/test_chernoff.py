@@ -6,8 +6,9 @@ import scipy.linalg as sla
 
 from qibench import chernoff
 from qibench.chernoff import qbb, qcb, s_overlap
-from qibench.gaussian import GaussianState, NumericError, make_coherent, make_thermal, williamson
+from qibench.gaussian import GaussianState, NumericError, _symplectic_pairs, make_coherent, make_thermal, williamson
 from qibench.protocols import build_scenario, hypothesis_pair
+from qibench.validation import benchmark_combos, random_physical_cov
 
 
 def thermal_overlap(n0, n1, s):
@@ -157,14 +158,22 @@ def _tmsv_return_pair(n_s, n_b, eta):
     return GaussianState(2, np.zeros(4), background), GaussianState(2, np.zeros(4), returned)
 
 
+def _random_pair(modes, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(GaussianState(modes, rng.normal(size=2 * modes), random_physical_cov(rng, modes)) for _ in range(2))
+
+
 @pytest.mark.parametrize(
     "rho0, rho1",
     [
         (make_thermal(0.0), make_thermal(3.0)),
         (make_coherent(0.5), make_thermal(2.0)),
         _tmsv_return_pair(1e-2, 1000.0, 1e-2),
+        _random_pair(2, 20261019),
+        _random_pair(3, 20261020),
+        (make_thermal(1.0), make_thermal(1.0)),
     ],
-    ids=["vacuum_thermal3", "coherent_thermal2", "tmsv_return"],
+    ids=["vacuum_thermal3", "coherent_thermal2", "tmsv_return", "random_2mode", "random_3mode", "identical"],
 )
 def test_qcb_not_above_grid_search_off_centre(rho0, rho1):
     # minima near s = 0.10 and a 4x4 pair; the grid goes through the batched
@@ -208,6 +217,20 @@ def test_one_sum_sigma_matches_per_state_products(rng, random_cov, modes):
         assert mean_exponent[k] == pytest.approx(d @ np.linalg.solve(sigma, d), rel=1e-12)
 
 
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """List that grows by one entry, the s array, per call of chernoff._evaluate."""
+    grids = []
+    evaluate = chernoff._evaluate
+
+    def counting(pair, s):
+        grids.append(s)
+        return evaluate(pair, s)
+
+    monkeypatch.setattr(chernoff, "_evaluate", counting)
+    return grids
+
+
 @pytest.mark.parametrize(
     "rho0, rho1",
     [
@@ -217,22 +240,58 @@ def test_one_sum_sigma_matches_per_state_products(rng, random_cov, modes):
         (make_thermal(1.0), make_thermal(3.0)),
     ],
 )
-def test_qcb_batches_its_search(monkeypatch, rho0, rho1):
+def test_qcb_batches_its_search(evaluator_calls, rho0, rho1):
     # counts evaluator calls, not time; a serial search makes one per s-point (33 and more)
-    grids = []
-    evaluate = chernoff._evaluate
-
-    def counting(pair, s):
-        grids.append(s)
-        return evaluate(pair, s)
-
-    monkeypatch.setattr(chernoff, "_evaluate", counting)
     bound = qcb(rho0, rho1)
-    assert len(grids) <= 10
-    assert bound.evaluations == sum(s.size for s in grids)
+    assert len(evaluator_calls) <= 10
+    assert bound.evaluations == sum(s.size for s in evaluator_calls)
     # one single-point evaluation, at s*: s = 1/2 comes from the first scan
-    assert [s.size for s in grids].count(1) == 1
+    assert [s.size for s in evaluator_calls].count(1) == 1
     assert 0.0 < bound.s_bracket < 1e-6
+
+
+def test_qcb_call_budget_over_the_grid(evaluator_calls):
+    # a uniform 16x zoom takes 6.24 calls per qcb on average over these pairs
+    calls, stops = [], set()
+    for scenario in benchmark_combos():
+        pair = hypothesis_pair(scenario)
+        before = len(evaluator_calls)
+        stops.add(qcb(pair.rho0, pair.rho1, scenario.copies).stop)
+        calls.append(len(evaluator_calls) - before)
+    assert max(calls) <= 8
+    assert sum(calls) / len(calls) <= 4.5
+    assert stops == {"bracket", "flat", "half", "indistinguishable"}
+
+
+def test_qcb_finds_a_minimum_far_from_one_half(evaluator_calls):
+    bound = qcb(make_thermal(0.0), make_thermal(1e4))
+    assert len(evaluator_calls) <= 8
+    assert 0.04 < bound.s_star < 0.06
+    assert 0.0 < bound.s_bracket < 1e-6
+
+
+@pytest.mark.parametrize(
+    "rho0, rho1, stop",
+    [
+        (displaced_thermal_state(1.2, 0.0), displaced_thermal_state(2.9, 0.8), "bracket"),
+        (make_thermal(1.0), make_thermal(3.0), "flat"),
+        # equal covariances: ln C_s is symmetric about s = 1/2, and the
+        # search's vertex lands a rounding error above that value
+        (make_thermal(6250.0), displaced_thermal_state(6250.0, math.sqrt(62.5001)), "half"),
+        (make_thermal(1.0), make_thermal(1.0), "indistinguishable"),
+    ],
+)
+def test_qcb_says_why_it_stopped(rho0, rho1, stop):
+    bound = qcb(rho0, rho1, 3)
+    assert bound.stop == stop
+    if stop == "bracket":
+        assert 0.0 < bound.s_bracket <= 1e-10
+    elif stop == "flat":
+        assert 1e-10 < bound.s_bracket < 1e-6
+    else:
+        assert bound.s_star == 0.5
+        assert bound.per_mode_overlap == qbb(rho0, rho1, 3).per_mode_overlap
+    assert qbb(rho0, rho1, 3).stop is None
 
 
 def test_qbb_dominates_qcb():
@@ -344,17 +403,17 @@ def test_overlap_of_identical_states_capped_at_one(bound):
 def decompositions(monkeypatch):
     """List of the covariances chernoff decomposes, one entry per covariance, starting from an empty cache.
 
-    A stacked Williamson call adds one entry per matrix of its stack.
+    A stacked decomposition adds one entry per matrix of its stack.
     """
     decomposed = []
 
     def counting(cov):
         cov = np.asarray(cov)
         decomposed.extend(cov.reshape(-1, *cov.shape[-2:]))
-        return williamson(cov)
+        return _symplectic_pairs(cov)
 
     monkeypatch.setattr(chernoff, "_spectrum_cache", {})
-    monkeypatch.setattr(chernoff, "williamson", counting)
+    monkeypatch.setattr(chernoff, "_symplectic_pairs", counting)
     return decomposed
 
 
@@ -416,6 +475,33 @@ def test_spectrum_cache_keeps_the_last_eight(decompositions):
     chernoff._spectra(states[3].cov)
     assert len(decompositions) == 12
     assert len(chernoff._spectrum_cache) == 8
+
+
+def _projectors_of(S):
+    """P_k = S_k S_k^T per mode, by the elementwise sum of _spectra."""
+    cols = S.swapaxes(-1, -2).reshape(S.shape[-1] // 2, 2, -1)
+    return (cols[..., None] * cols[..., None, :]).sum(axis=-3)
+
+
+def test_cached_projectors_match_williamson_on_the_grid(monkeypatch):
+    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
+    covs = {}
+    for scenario in benchmark_combos():
+        pair = hypothesis_pair(scenario)
+        for cov in (pair.rho0.cov, pair.rho1.cov):
+            covs[cov.tobytes()] = cov
+    for cov in covs.values():
+        assert np.array_equal(chernoff._spectra(cov)[0][2], _projectors_of(williamson(cov).S))
+
+
+def test_cached_projectors_match_williamson_on_random_covariances(monkeypatch):
+    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
+    rng = np.random.default_rng(20261019)
+    for k in range(300):
+        cov = random_physical_cov(rng, 1 + k % 3)
+        reference = _projectors_of(williamson(cov).S)
+        projectors = chernoff._spectra(cov)[0][2]
+        assert np.abs(projectors - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_factorization_failure_is_a_numeric_error(monkeypatch):

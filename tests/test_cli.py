@@ -36,6 +36,7 @@ def test_bound_both_methods_agree(amp_scenario, capsys):
     oracle = next(r for r in report["results"] if r["method"] == "qcb_oracle")
     assert oracle["evaluations"] > 1
     assert 0.0 < oracle["s_bracket"] < 1e-6
+    assert oracle["stop"] in ("bracket", "flat", "half", "indistinguishable")
 
 
 def test_bound_zero_reflectivity(tmp_path, capsys):
@@ -74,7 +75,7 @@ def test_roc_csv_format(amp_scenario, tmp_path, capsys):
     )
     report = json.loads(capsys.readouterr().out)
     csv_path = report["results"][0]["csv"]
-    raw = open(csv_path, "rb").read()
+    raw = Path(csv_path).read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0] == "p_fa,p_md,scenario,method"

@@ -5,6 +5,7 @@ import pytest
 
 from qibench.gaussian import (
     GaussianState,
+    _symplectic_pairs,
     apply_amplifier,
     apply_beamsplitter,
     make_coherent,
@@ -12,6 +13,7 @@ from qibench.gaussian import (
     symplectic_form,
     williamson,
 )
+from qibench.validation import random_physical_cov
 
 
 def test_symplectic_form_invariants():
@@ -245,3 +247,19 @@ def test_williamson_degenerate_and_extreme_spectra(cov):
     assert recon <= 1e-10
     assert np.abs(dec.S @ omega @ dec.S.T - omega).max() <= 1e-10
     assert np.all(np.diff(dec.nus) <= 0.0)
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3])
+def test_unrotated_symplectic_pairs_meet_the_structural_bounds(modes):
+    # the structural_invariants bounds, on 100 seeded covariances per mode count
+    rng = np.random.default_rng(20261019 + modes)
+    cov = np.array([random_physical_cov(rng, modes) for _ in range(100)])
+    pairs = _symplectic_pairs(cov)
+    rotated = williamson(cov)
+    assert np.array_equal(pairs.nus, rotated.nus)
+    assert np.array_equal(pairs.physical, rotated.physical)
+    omega = symplectic_form(modes)
+    s, s_t = pairs.S, pairs.S.swapaxes(-1, -2)
+    assert np.abs(s @ omega @ s_t - omega).max() <= 1e-10
+    recon = np.linalg.norm(s @ pairs.diagonal_form() @ s_t - cov, axis=(1, 2)) / np.linalg.norm(cov, axis=(1, 2))
+    assert recon.max() <= 1e-10

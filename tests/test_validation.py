@@ -11,7 +11,7 @@ import qibench.closed_forms as closed_forms
 from qibench import chernoff, special, validation
 from qibench.chernoff import BoundResult, qbb
 from qibench.closed_forms import closed_bound, closed_qre
-from qibench.gaussian import williamson
+from qibench.gaussian import _symplectic_pairs
 from qibench.protocols import hypothesis_pair
 from qibench.validation import (
     CheckResult,
@@ -118,16 +118,16 @@ def test_rel_dev_of_a_non_finite_value_is_inf(a, b):
 
 @pytest.fixture
 def williamson_stacks(monkeypatch):
-    """Stack sizes of the Williamson calls chernoff makes, starting from an empty spectrum cache."""
+    """Stack sizes of the symplectic decompositions chernoff makes, starting from an empty spectrum cache."""
     stacks = []
 
     def counting(cov):
         cov = np.asarray(cov)
         stacks.append(cov.reshape(-1, *cov.shape[-2:]).shape[0])
-        return williamson(cov)
+        return _symplectic_pairs(cov)
 
     monkeypatch.setattr(chernoff, "_spectrum_cache", {})
-    monkeypatch.setattr(chernoff, "williamson", counting)
+    monkeypatch.setattr(chernoff, "_symplectic_pairs", counting)
     return stacks
 
 
