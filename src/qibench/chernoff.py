@@ -13,18 +13,12 @@ exponent carries no extra factor 1/2 in this convention; the expression is
 validated against pure-state overlaps, thermal-state spectral sums and
 Fock-space numerics in the test suite.
 
-The work is split in two steps. Preparing a pair (``_prepare``) looks up
-the spectrum of each covariance: its symplectic decomposition, physicality
-check and pure-mode clamp, the s-independent functions ln(nu + 1/2) and
-theta = artanh(1/(2 nu)) of each symplectic eigenvalue, and the per-mode
-projector P_k = S_k S_k^T of the symplectic column pair of mode k. P_k does
-not see a rotation within the pair, so the decomposition stops before the
-canonical rotation that ``williamson`` applies. The spectra of the last 8
-covariances are cached by content, so ``qbb`` and ``qcb`` on one pair
-decompose each state once between them, and the states of a pair that miss
-the cache are decomposed in one stacked call; the cached arrays are
-read-only; inside a ``relent._shared_mp_forms()`` block nothing is evicted.
-The pair joins the two spectra into one list of modes and forms d.
+The work is split in two steps. Preparing a pair (``_prepare``) takes from
+``gaussian._spectra``, the cached f64 decomposition that the relative
+entropy shares, the clamped ln(nu + 1/2) and theta = artanh(1/(2 nu)) of
+each symplectic eigenvalue and the projector P_k = S_k S_k^T of each mode
+of both states, joined into one list of modes, and forms d; ``qbb`` and
+``qcb`` on one pair decompose each state once between them.
 Evaluating (``_evaluate``) takes an array of s and handles all of it in one
 numpy pass: every mode takes the power s (rho0) or 1 - s (rho1), ln det
 Pi_s is a sum of elementwise functions of that power and nu, and
@@ -43,12 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import relent
-from .gaussian import GaussianState, NumericError, _symplectic_pairs
-from .relent import _check_copies
+from .gaussian import GaussianState, NumericError, _check_copies, _spectra
 
 _S_EDGE = 1e-9
-_NU_CLAMP = 0.5 + 1e-12
 _S_TOL = 1e-10
 _SCAN_POINTS = 33
 # the search grid on [-1, 1], scaled onto each bracket; an odd point count
@@ -58,9 +49,6 @@ _MID = _SCAN_POINTS // 2
 # offsets of a zoom grid from the parabolic vertex, as fractions of the
 # distance to each end of the bracket: 1 down to 1e-12, geometrically
 _GEOM = np.geomspace(1.0, 1e-12, _MID)
-# covariances whose spectra are kept: enough for the pairs of one operation
-# (qbb and qcb of one pair), far fewer than the distinct states of a sweep
-_SPECTRUM_CACHE_SIZE = 8
 
 
 @dataclass
@@ -114,53 +102,6 @@ class BoundResult:
         return 0.0 - math.log(self.per_mode_overlap)
 
 
-# content key (dimension, covariance bytes) -> spectrum, least recently used first
-_spectrum_cache: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray, bool]] = {}
-
-
-def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, bool]]:
-    """ln(nu + 1/2), theta, the per-mode projectors and the clamp flag of each covariance.
-
-    All covariances share one dimension. The spectra of the last 8 are
-    cached by content, not identity: an equal copy is a hit and a covariance
-    changed in place is decomposed again; inside a shared-forms block all
-    are kept. The misses are decomposed in one stacked call, without the
-    canonical rotation of ``williamson``, which P_k does not see. An
-    unphysical covariance is never cached, so it raises ValueError on every
-    call; the physical misses of that call are kept.
-    """
-    keys = [(cov.shape[0], cov.tobytes()) for cov in covs]
-    misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
-    if misses:
-        w = _symplectic_pairs(np.array(list(misses.values())))
-        nu = np.maximum(w.nus, _NU_CLAMP)
-        # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
-        # 2k + 1, formed elementwise and so exactly symmetric
-        cols = w.S.swapaxes(-1, -2).reshape(*nu.shape, 2, -1)
-        projectors = (cols[..., None] * cols[..., None, :]).sum(axis=-3)
-        ln_top, theta = np.log(nu + 0.5), np.arctanh(0.5 / nu)
-        for a in (ln_top, theta, projectors):
-            a.flags.writeable = False
-        physical, clamped = w.physical.tolist(), (w.nus[..., -1] < _NU_CLAMP).tolist()
-        for k, key in enumerate(misses):
-            if physical[k]:
-                _spectrum_cache[key] = (ln_top[k], theta[k], projectors[k], clamped[k])
-        if not all(physical):
-            raise ValueError("s_overlap requires physical states")
-    # the keys of this call move to the most recent end
-    for key in keys:
-        _spectrum_cache[key] = _spectrum_cache.pop(key)
-    if relent._mp_forms_memo is None:
-        _trim_spectrum_cache()
-    return [_spectrum_cache[key] for key in keys]
-
-
-def _trim_spectrum_cache() -> None:
-    """Drop the least recently used spectra beyond 8."""
-    while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
-        del _spectrum_cache[next(iter(_spectrum_cache))]
-
-
 @dataclass(frozen=True)
 class _PreparedPair:
     """The s-independent part of the s-overlap of one pair of states.
@@ -185,7 +126,7 @@ def _prepare(rho0: GaussianState, rho1: GaussianState) -> _PreparedPair:
     """Spectra of both states, joined into one list of modes, and the mean difference."""
     if rho0.modes != rho1.modes:
         raise ValueError("states must have the same number of modes")
-    (ln0, theta0, proj0, clamped0), (ln1, theta1, proj1, clamped1) = _spectra(rho0.cov, rho1.cov)
+    (_, ln0, theta0, proj0, clamped0), (_, ln1, theta1, proj1, clamped1) = _spectra(rho0.cov, rho1.cov)
     return _PreparedPair(
         modes=rho0.modes,
         ln_top=np.concatenate((ln0, ln1)),

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 
 from .chernoff import BoundResult
+from .gaussian import _check_copies
 from .protocols import Scenario
-from .relent import _check_copies
 
 _SERIES_EPS = 1e-18
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ class NumericError(RuntimeError):
 # absolute slack allowed on |V - V^T| and below the vacuum bound nu >= 1/2
 _SYMMETRY_TOL = 1e-12
 _PHYSICALITY_TOL = 1e-10
+# pure modes are clamped to this symplectic eigenvalue in the cached spectra
+_NU_CLAMP = 0.5 + 1e-12
+# covariances whose spectra are kept: the 48 distinct states of the
+# validation grid, far fewer than the distinct states of a sweep
+_SPECTRUM_CACHE_SIZE = 64
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -155,6 +161,58 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
     np.add(c_uv[..., 0], s_uv[..., 1], out=u)
     np.subtract(c_uv[..., 1], s_uv[..., 0], out=v)
     return w
+
+
+# content key (dimension, covariance bytes) -> spectrum, least recently used first
+_spectrum_cache: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]] = {}
+
+
+def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]]:
+    """nu, ln(nu + 1/2), theta, the per-mode projectors and the clamp flag of each covariance.
+
+    The one f64 decomposition of the s-overlap and the relative entropy, for
+    covariances of one dimension. ``nus`` is the raw spectrum, sorted
+    descending; ln(nu + 1/2) and theta = artanh(1/(2 nu)) take nu clamped to
+    1/2 + 1e-12, which the flag marks. P_k = S_k S_k^T does not see a
+    rotation within the column pair of mode k, so the misses are decomposed
+    in one stacked call without :func:`williamson`'s canonical rotation.
+    The last 64 covariances are cached by content: an equal copy is a hit,
+    one changed in place is decomposed again, and every cached array is
+    read-only. An unphysical covariance is never cached and raises
+    ValueError on every call; the physical misses of that call are kept.
+    """
+    keys = [(cov.shape[0], cov.tobytes()) for cov in covs]
+    misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
+    if misses:
+        w = _symplectic_pairs(np.array(list(misses.values())))
+        nu = np.maximum(w.nus, _NU_CLAMP)
+        # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
+        # 2k + 1, formed elementwise and so exactly symmetric
+        cols = w.S.swapaxes(-1, -2).reshape(*nu.shape, 2, -1)
+        projectors = (cols[..., None] * cols[..., None, :]).sum(axis=-3)
+        ln_top, theta = np.log(nu + 0.5), np.arctanh(0.5 / nu)
+        for a in (w.nus, ln_top, theta, projectors):
+            a.flags.writeable = False
+        physical, clamped = w.physical.tolist(), (w.nus[..., -1] < _NU_CLAMP).tolist()
+        for k, key in enumerate(misses):
+            if physical[k]:
+                _spectrum_cache[key] = (w.nus[k], ln_top[k], theta[k], projectors[k], clamped[k])
+        if not all(physical):
+            raise ValueError(f"covariance is not physical (nu_min = {w.nus[physical.index(False), -1]:.12g} < 1/2)")
+    # the keys of this call move to the most recent end, and the least
+    # recently used beyond 64 are dropped
+    for key in keys:
+        _spectrum_cache[key] = _spectrum_cache.pop(key)
+    spectra = [_spectrum_cache[key] for key in keys]
+    while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
+        del _spectrum_cache[next(iter(_spectrum_cache))]
+    return spectra
+
+
+def _check_copies(copies: int) -> None:
+    """Reject a copy count that is not a whole number >= 1 (NaN and inf included)."""
+    if not (isinstance(copies, numbers.Real) and float(copies).is_integer() and copies >= 1):
+        raise ValueError(f"copies must be a whole number >= 1, got {copies!r}")
 
 
 def make_coherent(n_s: float) -> GaussianState:

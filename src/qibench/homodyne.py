@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .gaussian import _check_copies
 from .protocols import Scenario
-from .relent import RocCurve, _check_copies, _probability_grid
+from .relent import RocCurve, _probability_grid
 from .special import _in_open_interval, erfc, erfc_inv
 
 DEFAULT_PFA_GRID = np.geomspace(1e-6, 1.0 - 1e-3, 200)

@@ -8,15 +8,16 @@ matrix G = 2i Omega acoth(2i V Omega) and the function
 with D = Sigma(V0, V1) - Sigma(V0, V0). The log-determinant is accumulated
 as sum_k ln(nu_k^2 - 1/4) over symplectic eigenvalues, and the difference of
 the two Sigma terms is assembled pairwise so nearby states do not lose all
-significance. For grid corners where D itself is a near-cancellation below
-float64 resolution, :func:`relative_entropy` accepts ``dps`` to run the
-identical formulas in mpmath arbitrary precision. A check that evaluates
-many pairs wraps its loop in ``_shared_mp_forms()``: inside that block each
-distinct covariance is decomposed once, the terms of D and V that need no
-means once per pair of covariances, and the f64 spectra of
-:mod:`qibench.chernoff` are all kept; all is dropped when the block ends.
-mpmath is imported inside the functions of that path, so the f64 path
-never loads it.
+significance. The f64 path reads each spectrum from ``gaussian._spectra``,
+which the s-overlap shares, and forms G = Omega (sum_k 2 theta_k P_k)
+Omega^T from its projectors P_k = S_k S_k^T, without inverting S. For grid
+corners where D itself is a near-cancellation below float64 resolution,
+:func:`relative_entropy` accepts ``dps`` to run the identical formulas in
+mpmath arbitrary precision. A check that evaluates many pairs wraps its loop
+in ``_shared_mp_forms()``: inside that block each distinct covariance is
+decomposed once, and the terms of D and V that need no means once per pair
+of covariances; all is dropped when the block ends. mpmath is imported
+inside the functions of that path, so the f64 path never loads it.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -25,14 +26,13 @@ matrix of one state.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, NumericError, symplectic_form, williamson
+from .gaussian import GaussianState, NumericError, _check_copies, _spectra, symplectic_form
 from .special import normal_quantile
 
 if TYPE_CHECKING:
@@ -77,24 +77,22 @@ def _check_mixed(nus: np.ndarray, who: str) -> None:
         raise _pure_mode_error(who, nus[bad[0]], int(bad[0]))
 
 
-def _gibbs_from_williamson(S: np.ndarray, nus: np.ndarray, who: str) -> np.ndarray:
-    """Gibbs matrix of a covariance from its Williamson S and nus; see :func:`gibbs_matrix`."""
+def _gibbs(spectrum: tuple, who: str) -> np.ndarray:
+    """Gibbs matrix of a covariance from its cached spectrum; see :func:`gibbs_matrix`."""
+    nus, _, theta, projectors, _ = spectrum
     _check_mixed(nus, who)
-    g = 2.0 * np.arctanh(0.5 / nus)
-    s_inv = np.linalg.solve(S, np.eye(S.shape[0]))
-    gibbs = s_inv.T @ np.diag(np.repeat(g, 2)) @ s_inv
-    return 0.5 * (gibbs + gibbs.T)
+    omega = symplectic_form(nus.size)
+    # exactly symmetric: a signed permutation of a weighted sum of exactly symmetric P_k
+    return omega @ ((2.0 * theta)[:, None, None] * projectors).sum(axis=0) @ omega.T
 
 
 def gibbs_matrix(state: GaussianState) -> np.ndarray:
     """Gibbs matrix of a strictly mixed Gaussian state.
 
-    Built from the Williamson decomposition by applying the scalar map
-    g(nu) = ln((nu + 1/2) / (nu - 1/2)) to each symplectic eigenvalue and
-    conjugating back with S^{-T} (.) S^{-1}.
+    The map g(nu) = ln((nu + 1/2) / (nu - 1/2)) = 2 theta on each symplectic
+    eigenvalue, conjugated back: S^{-T} diag(g) S^{-1} = Omega (sum_k g_k P_k) Omega^T.
     """
-    dec = williamson(state.cov)
-    return _gibbs_from_williamson(dec.S, dec.nus, "state")
+    return _gibbs(_spectra(state.cov)[0], "state")
 
 
 def _clamp_nonneg(x: float, what: str) -> float:
@@ -106,11 +104,10 @@ def _clamp_nonneg(x: float, what: str) -> float:
 
 
 def _rel_ent_f64(rho0: GaussianState, rho1: GaussianState) -> RelEntResult:
-    # both states in one stacked decomposition
-    dec = williamson(np.array((rho0.cov, rho1.cov)))
-    nus0, nus1 = dec.nus
-    gibbs1 = _gibbs_from_williamson(dec.S[1], nus1, "rho1")
-    gibbs0 = _gibbs_from_williamson(dec.S[0], nus0, "rho0")
+    # the misses of both states in one stacked decomposition
+    spectrum0, spectrum1 = _spectra(rho0.cov, rho1.cov)
+    nus0, nus1 = spectrum0[0], spectrum1[0]
+    gibbs1, gibbs0 = _gibbs(spectrum1, "rho1"), _gibbs(spectrum0, "rho0")
 
     # ln det(V1 + i Omega/2) - ln det(V0 + i Omega/2), paired by sorted spectra
     lndet_diff = float(np.sum(np.log1p((nus1 - nus0) * (nus1 + nus0) / (nus0**2 - 0.25))))
@@ -156,7 +153,7 @@ def _mp_gibbs_lndet(cov: np.ndarray, who: str) -> tuple[mp.matrix, mp.matrix, mp
     for i, nu in enumerate(nus):
         if nu <= half:
             # e ascends from -nu_max to +nu_max; modes are indexed by descending
-            # nu, as in williamson
+            # nu, as in the f64 spectra
             raise _pure_mode_error(who, float(nu), i if i < n else dim - 1 - i)
     lndet = sum(mp.log(nu**2 - half**2) for x, nu in zip(e, nus) if x > 0)
     phi = mp.diag([nu * mp.log((nu + half) / (nu - half)) for nu in nus])
@@ -184,8 +181,7 @@ def _shared_mp_forms() -> Iterator[dict]:
 
     Yields the dict of the covariance forms computed so far; a nested block
     reuses the dicts of the outermost one, which are dropped when that block
-    ends. The f64 spectrum cache of :mod:`qibench.chernoff` evicts nothing
-    while a block is open and is trimmed back to 8 when the outermost ends.
+    ends.
     """
     global _mp_forms_memo, _mp_pair_memo
     outer = _mp_forms_memo, _mp_pair_memo
@@ -195,10 +191,6 @@ def _shared_mp_forms() -> Iterator[dict]:
         yield _mp_forms_memo
     finally:
         _mp_forms_memo, _mp_pair_memo = outer
-        if _mp_forms_memo is None:
-            from .chernoff import _trim_spectrum_cache
-
-            _trim_spectrum_cache()
 
 
 def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
@@ -262,12 +254,6 @@ def relative_entropy(
     if dps is not None:
         return _rel_ent_mp(rho0, rho1, dps)
     return _rel_ent_f64(rho0, rho1)
-
-
-def _check_copies(copies: int) -> None:
-    """Reject a copy count that is not a whole number >= 1 (NaN and inf included)."""
-    if not (isinstance(copies, numbers.Real) and float(copies).is_integer() and copies >= 1):
-        raise ValueError(f"copies must be a whole number >= 1, got {copies!r}")
 
 
 DEFAULT_EPSILON_GRID = np.geomspace(1e-4, 0.9, 60)

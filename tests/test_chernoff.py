@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qibench import chernoff
+from qibench import chernoff, gaussian
 from qibench.chernoff import qbb, qcb, s_overlap
 from qibench.gaussian import GaussianState, NumericError, _symplectic_pairs, make_coherent, make_thermal, williamson
 from qibench.protocols import build_scenario, hypothesis_pair
+from qibench.relent import relative_entropy
 from qibench.validation import benchmark_combos, random_physical_cov
 
 
@@ -401,7 +402,7 @@ def test_overlap_of_identical_states_capped_at_one(bound):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """List of the covariances chernoff decomposes, one entry per covariance, starting from an empty cache.
+    """List of the covariances the spectrum cache decomposes, one entry per covariance, starting from an empty cache.
 
     A stacked decomposition adds one entry per matrix of its stack.
     """
@@ -412,8 +413,8 @@ def decompositions(monkeypatch):
         decomposed.extend(cov.reshape(-1, *cov.shape[-2:]))
         return _symplectic_pairs(cov)
 
-    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
-    monkeypatch.setattr(chernoff, "_symplectic_pairs", counting)
+    monkeypatch.setattr(gaussian, "_spectrum_cache", {})
+    monkeypatch.setattr(gaussian, "_symplectic_pairs", counting)
     return decomposed
 
 
@@ -428,15 +429,16 @@ def test_bounds_on_one_pair_decompose_each_state_once(decompositions):
     qbb(rho0, rho1, 3)
     qcb(rho0, rho1, 3)
     s_overlap(rho1, rho0, 0.3)
+    relative_entropy(rho0, rho1)
     assert len(decompositions) == 2
 
 
 def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
     cov = random_cov(rng, 2)
-    [(ln_top, theta, projectors, _)] = chernoff._spectra(cov)
-    assert chernoff._spectra(cov.copy())[0][2] is projectors
+    [(nus, ln_top, theta, projectors, _)] = gaussian._spectra(cov)
+    assert gaussian._spectra(cov.copy())[0][3] is projectors
     assert len(decompositions) == 1
-    for cached in (ln_top, theta, projectors):
+    for cached in (nus, ln_top, theta, projectors):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0] = 0.0
@@ -444,9 +446,9 @@ def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
 
     changed = cov.copy()
     changed[0, 0] += 1e-9
-    assert chernoff._spectra(changed)[0][2] is not projectors
+    assert gaussian._spectra(changed)[0][3] is not projectors
     cov *= 2.0
-    chernoff._spectra(cov)
+    gaussian._spectra(cov)
     assert len(decompositions) == 3
 
     # the unphysical state is decomposed, and rejected, on every call; its
@@ -461,46 +463,50 @@ def test_spectrum_cache_is_keyed_by_content(rng, random_cov, decompositions):
     assert np.array_equal(decompositions[4], partner.cov)
 
 
-def test_spectrum_cache_keeps_the_last_eight(decompositions):
-    states = [make_thermal(n) for n in range(10)]
+def test_spectrum_cache_keeps_the_last_64(decompositions):
+    states = [make_thermal(n) for n in range(66)]
     for state in states:
-        chernoff._spectra(state.cov)
-    assert len(decompositions) == 10
+        gaussian._spectra(state.cov)
+    assert len(decompositions) == 66
     # 0 and 1 were dropped; the hit on 2 refreshes it, so adding 0 drops 3
-    chernoff._spectra(states[2].cov)
-    chernoff._spectra(states[0].cov, states[9].cov)
-    assert len(decompositions) == 11
-    chernoff._spectra(states[2].cov, states[4].cov)
-    assert len(decompositions) == 11
-    chernoff._spectra(states[3].cov)
-    assert len(decompositions) == 12
-    assert len(chernoff._spectrum_cache) == 8
+    gaussian._spectra(states[2].cov)
+    gaussian._spectra(states[0].cov, states[65].cov)
+    assert len(decompositions) == 67
+    gaussian._spectra(states[2].cov, states[4].cov)
+    assert len(decompositions) == 67
+    gaussian._spectra(states[3].cov)
+    assert len(decompositions) == 68
+    assert len(gaussian._spectrum_cache) == 64
+    # a call with more distinct covariances than the cache holds returns them all
+    spectra = gaussian._spectra(*(state.cov for state in states))
+    assert [nus[0] for nus, *_ in spectra] == pytest.approx([n + 0.5 for n in range(66)], rel=1e-14)
+    assert len(gaussian._spectrum_cache) == 64
 
 
 def _projectors_of(S):
-    """P_k = S_k S_k^T per mode, by the elementwise sum of _spectra."""
+    """P_k = S_k S_k^T per mode, by the elementwise sum of gaussian._spectra."""
     cols = S.swapaxes(-1, -2).reshape(S.shape[-1] // 2, 2, -1)
     return (cols[..., None] * cols[..., None, :]).sum(axis=-3)
 
 
 def test_cached_projectors_match_williamson_on_the_grid(monkeypatch):
-    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
+    monkeypatch.setattr(gaussian, "_spectrum_cache", {})
     covs = {}
     for scenario in benchmark_combos():
         pair = hypothesis_pair(scenario)
         for cov in (pair.rho0.cov, pair.rho1.cov):
             covs[cov.tobytes()] = cov
     for cov in covs.values():
-        assert np.array_equal(chernoff._spectra(cov)[0][2], _projectors_of(williamson(cov).S))
+        assert np.array_equal(gaussian._spectra(cov)[0][3], _projectors_of(williamson(cov).S))
 
 
 def test_cached_projectors_match_williamson_on_random_covariances(monkeypatch):
-    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
+    monkeypatch.setattr(gaussian, "_spectrum_cache", {})
     rng = np.random.default_rng(20261019)
     for k in range(300):
         cov = random_physical_cov(rng, 1 + k % 3)
         reference = _projectors_of(williamson(cov).S)
-        projectors = chernoff._spectra(cov)[0][2]
+        projectors = gaussian._spectra(cov)[0][3]
         assert np.abs(projectors - reference).max() <= 1e-14 * np.abs(reference).max()
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from qibench import relent
+from qibench.chernoff import qbb
 from qibench.closed_forms import closed_qre
-from qibench.gaussian import GaussianState, make_coherent, make_thermal, symplectic_form
+from qibench.gaussian import GaussianState, make_coherent, make_thermal, symplectic_form, williamson
 from qibench.protocols import figure_grid, hypothesis_pair
 from qibench.relent import (
     DEFAULT_EPSILON_GRID,
@@ -15,7 +16,7 @@ from qibench.relent import (
     roc_asymmetric,
     roc_from_rates,
 )
-from qibench.validation import benchmark_combos
+from qibench.validation import benchmark_combos, random_physical_cov
 from test_chernoff import displaced_thermal_fock, displaced_thermal_state
 from test_special import erfc_inv_reference
 
@@ -46,8 +47,62 @@ def test_gibbs_half_photon_thermal():
 
 
 def test_gibbs_rejects_pure_states():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Gibbs matrix diverges for pure modes; state has .* at mode index 0$"):
         gibbs_matrix(make_thermal(0.0))
+
+
+def test_unphysical_state_is_named_by_its_nu_min():
+    unphysical = GaussianState(1, np.zeros(2), 0.4 * np.eye(2))
+    mixed = make_thermal(1.0)
+    calls = [
+        lambda: qbb(unphysical, mixed),
+        lambda: relative_entropy(unphysical, mixed),
+        lambda: relative_entropy(mixed, unphysical),
+        lambda: gibbs_matrix(unphysical),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^covariance is not physical \(nu_min = 0\.4 < 1/2\)$"):
+            call()
+
+
+def inverse_gibbs(cov):
+    """The Gibbs matrix S^{-T} diag(g) S^{-1}, from williamson's S and an inverse of it, symmetrized."""
+    dec = williamson(cov)
+    g = 2.0 * np.arctanh(0.5 / dec.nus)
+    s_inv = np.linalg.solve(dec.S, np.eye(dec.S.shape[0]))
+    gibbs = s_inv.T @ np.diag(np.repeat(g, 2)) @ s_inv
+    return 0.5 * (gibbs + gibbs.T), dec.nus
+
+
+def test_gibbs_from_projectors_matches_the_inverse_of_s():
+    rng = np.random.default_rng(20261019)
+    for k in range(300):
+        modes = 1 + k % 3
+        cov = random_physical_cov(rng, modes)
+        reference, _ = inverse_gibbs(cov)
+        gibbs = gibbs_matrix(GaussianState(modes, np.zeros(2 * modes), cov))
+        assert np.array_equal(gibbs, gibbs.T)
+        assert np.abs(gibbs - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_f64_relative_entropy_on_the_grid_matches_the_inverse_of_s():
+    """(D, V) from the cached projectors are bit-equal to the formula on inverse_gibbs."""
+    for scenario in benchmark_combos():
+        pair = hypothesis_pair(scenario)
+        rho0, rho1 = pair.rho0, pair.rho1
+        (gibbs0, nus0), (gibbs1, nus1) = inverse_gibbs(rho0.cov), inverse_gibbs(rho1.cov)
+        lndet_diff = float(np.sum(np.log1p((nus1 - nus0) * (nus1 + nus0) / (nus0**2 - 0.25))))
+        delta = rho0.mean - rho1.mean
+        d = 0.5 * (lndet_diff + float(np.trace(rho0.cov @ (gibbs1 - gibbs0))) + float(delta @ gibbs1 @ delta))
+        gv = (gibbs0 - gibbs1) @ rho0.cov
+        go = (gibbs0 - gibbs1) @ symplectic_form(rho0.modes)
+        v = (
+            0.5 * float(np.trace(gv @ gv))
+            + 0.125 * float(np.trace(go @ go))
+            + float(delta @ gibbs1 @ rho0.cov @ gibbs1 @ delta)
+        )
+        res = relative_entropy(rho0, rho1)
+        assert (res.d, res.v) == (max(d, 0.0), max(v, 0.0)), scenario.label
 
 
 def test_gibbs_isotropic_matches_scalar_map(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qibench.closed_forms as closed_forms
-from qibench import chernoff, special, validation
+from qibench import gaussian, special, validation
 from qibench.chernoff import BoundResult, qbb
 from qibench.closed_forms import closed_bound, closed_qre
 from qibench.gaussian import _symplectic_pairs
@@ -118,7 +118,7 @@ def test_rel_dev_of_a_non_finite_value_is_inf(a, b):
 
 @pytest.fixture
 def williamson_stacks(monkeypatch):
-    """Stack sizes of the symplectic decompositions chernoff makes, starting from an empty spectrum cache."""
+    """Stack sizes of the symplectic decompositions the spectrum cache makes, starting from an empty cache."""
     stacks = []
 
     def counting(cov):
@@ -126,13 +126,13 @@ def williamson_stacks(monkeypatch):
         stacks.append(cov.reshape(-1, *cov.shape[-2:]).shape[0])
         return _symplectic_pairs(cov)
 
-    monkeypatch.setattr(chernoff, "_spectrum_cache", {})
-    monkeypatch.setattr(chernoff, "_symplectic_pairs", counting)
+    monkeypatch.setattr(gaussian, "_spectrum_cache", {})
+    monkeypatch.setattr(gaussian, "_symplectic_pairs", counting)
     return stacks
 
 
 def _qcb_check_per_combo(combos):
-    """check_qcb_equivalence as one qbb per combo, outside any shared-forms block."""
+    """check_qcb_equivalence as one qbb per combo, without decomposing the grid first."""
     worst, worst_pre, worst_label = 0.0, 0.0, ""
     for scenario in combos:
         pair = hypothesis_pair(scenario)
@@ -156,10 +156,11 @@ def test_qcb_check_decomposes_its_grid_in_one_stack(williamson_stacks, quick, di
     combos = benchmark_combos(quick=quick)
     result = check_qcb_equivalence(combos)
     assert williamson_stacks == [distinct]
-    assert len(chernoff._spectrum_cache) <= 8
-    # the reference decomposes again: the cache kept only the last 8 spectra
+    assert len(gaussian._spectrum_cache) == distinct
+    # the reference decomposes every covariance again, from an empty cache
+    gaussian._spectrum_cache.clear()
     reference = _qcb_check_per_combo(combos)
-    assert len(williamson_stacks) > 1
+    assert sum(williamson_stacks[1:]) == distinct
     assert result == reference
 
 
