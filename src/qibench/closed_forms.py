@@ -84,8 +84,7 @@ def _check_limit_inputs(n_s: float, n_b: float, eta: float, copies: int) -> None
         raise ValueError(f"requires finite n_s >= 0 and n_b > 0, got n_s={n_s!r}, n_b={n_b!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
-    if not 1 <= copies < math.inf:
-        raise ValueError(f"copies must be finite and >= 1, got {copies!r}")
+    _check_copies(copies)
 
 
 def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:

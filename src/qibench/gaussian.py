@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,8 @@ def williamson(cov: np.ndarray) -> WilliamsonDecomposition:
 
 # content key (dimension, covariance bytes) -> spectrum, least recently used first
 _spectrum_cache: dict[tuple[int, bytes], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]] = {}
+# held by every read and change of the package's caches, which threads share
+_cache_lock = threading.Lock()
 
 
 def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]]:
@@ -182,31 +185,35 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
     ValueError on every call; the physical misses of that call are kept.
     """
     keys = [(cov.shape[0], cov.tobytes()) for cov in covs]
-    misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
-    if misses:
-        w = _symplectic_pairs(np.array(list(misses.values())))
-        nu = np.maximum(w.nus, _NU_CLAMP)
-        # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
-        # 2k + 1, formed elementwise and so exactly symmetric
-        cols = w.S.swapaxes(-1, -2).reshape(*nu.shape, 2, -1)
-        projectors = (cols[..., None] * cols[..., None, :]).sum(axis=-3)
-        ln_top, theta = np.log(nu + 0.5), np.arctanh(0.5 / nu)
-        for a in (w.nus, ln_top, theta, projectors):
-            a.flags.writeable = False
-        physical, clamped = w.physical.tolist(), (w.nus[..., -1] < _NU_CLAMP).tolist()
-        for k, key in enumerate(misses):
-            if physical[k]:
-                _spectrum_cache[key] = (w.nus[k], ln_top[k], theta[k], projectors[k], clamped[k])
-        if not all(physical):
-            raise ValueError(f"covariance is not physical (nu_min = {w.nus[physical.index(False), -1]:.12g} < 1/2)")
-    # the keys of this call move to the most recent end, and the least
-    # recently used beyond 64 are dropped
+    with _cache_lock:
+        misses = {key: cov for key, cov in zip(keys, covs) if key not in _spectrum_cache}
+        if misses:
+            w = _symplectic_pairs(np.array(list(misses.values())))
+            nu = np.maximum(w.nus, _NU_CLAMP)
+            # P_k = S_k S_k^T as a sum of the outer products of the columns 2k and
+            # 2k + 1, formed elementwise and so exactly symmetric
+            cols = w.S.swapaxes(-1, -2).reshape(*nu.shape, 2, -1)
+            projectors = (cols[..., None] * cols[..., None, :]).sum(axis=-3)
+            ln_top, theta = np.log(nu + 0.5), np.arctanh(0.5 / nu)
+            for a in (w.nus, ln_top, theta, projectors):
+                a.flags.writeable = False
+            physical, clamped = w.physical.tolist(), (w.nus[..., -1] < _NU_CLAMP).tolist()
+            for k, key in enumerate(misses):
+                if physical[k]:
+                    _spectrum_cache[key] = (w.nus[k], ln_top[k], theta[k], projectors[k], clamped[k])
+            if not all(physical):
+                raise ValueError(f"covariance is not physical (nu_min = {w.nus[physical.index(False), -1]:.12g} < 1/2)")
+        return _recent(_spectrum_cache, keys, _SPECTRUM_CACHE_SIZE)
+
+
+def _recent(cache: dict, keys: list, size: int) -> list:
+    """The values of ``keys``, moved last in ``cache``; the least recently used beyond ``size`` go. Call under ``_cache_lock``."""
     for key in keys:
-        _spectrum_cache[key] = _spectrum_cache.pop(key)
-    spectra = [_spectrum_cache[key] for key in keys]
-    while len(_spectrum_cache) > _SPECTRUM_CACHE_SIZE:
-        del _spectrum_cache[next(iter(_spectrum_cache))]
-    return spectra
+        cache[key] = cache.pop(key)
+    values = [cache[key] for key in keys]
+    while len(cache) > size:
+        del cache[next(iter(cache))]
+    return values
 
 
 def _check_copies(copies: int) -> None:

@@ -13,11 +13,10 @@ which the s-overlap shares, and forms G = Omega (sum_k 2 theta_k P_k)
 Omega^T from its projectors P_k = S_k S_k^T, without inverting S. For grid
 corners where D itself is a near-cancellation below float64 resolution,
 :func:`relative_entropy` accepts ``dps`` to run the identical formulas in
-mpmath arbitrary precision. A check that evaluates many pairs wraps its loop
-in ``_shared_mp_forms()``: inside that block each distinct covariance is
-decomposed once, and the terms of D and V that need no means once per pair
-of covariances; all is dropped when the block ends. mpmath is imported
-inside the functions of that path, so the f64 path never loads it.
+mpmath arbitrary precision, whose cache keeps the mp forms of recent
+covariances and the mean-free terms of D and V of recent pairs of them (128
+entries by content and dps, evicted as in ``gaussian._spectra``). mpmath is
+imported inside the functions of that path, so the f64 path never loads it.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -26,13 +25,12 @@ matrix of one state.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, NumericError, _check_copies, _spectra, symplectic_form
+from .gaussian import GaussianState, NumericError, _cache_lock, _check_copies, _recent, _spectra, symplectic_form
 from .special import normal_quantile
 
 if TYPE_CHECKING:
@@ -40,6 +38,8 @@ if TYPE_CHECKING:
 
 _PURE_NU_TOL = 1e-10
 _NEGATIVE_CLAMP = -1e-12
+# mp forms and pair terms kept: the validation grid needs 48 of each
+_MP_CACHE_SIZE = 128
 
 
 @dataclass
@@ -168,65 +168,45 @@ def _mp_trace_of_product(a: mp.matrix, b: mp.matrix) -> mp.mpf:
     return mp.fdot((a[i, j], b[j, i]) for i in range(n) for j in range(n))
 
 
-# covariance bytes and dps -> (mp covariance, Gibbs matrix, ln det), and the
-# bytes of a pair of covariances and dps -> its terms in _rel_ent_mp, while a
-# _shared_mp_forms() block is open; None outside every block
-_mp_forms_memo: dict | None = None
-_mp_pair_memo: dict | None = None
-
-
-@contextmanager
-def _shared_mp_forms() -> Iterator[dict]:
-    """Share the mp forms of equal covariances, and the terms of equal pairs, in this block.
-
-    Yields the dict of the covariance forms computed so far; a nested block
-    reuses the dicts of the outermost one, which are dropped when that block
-    ends.
-    """
-    global _mp_forms_memo, _mp_pair_memo
-    outer = _mp_forms_memo, _mp_pair_memo
-    if _mp_forms_memo is None:
-        _mp_forms_memo, _mp_pair_memo = {}, {}
-    try:
-        yield _mp_forms_memo
-    finally:
-        _mp_forms_memo, _mp_pair_memo = outer
+# (shape, covariance bytes, dps) -> (mp covariance, Gibbs matrix, ln det), and
+# (shape, bytes of rho0's and rho1's covariances, dps) -> the pair's terms in
+# _rel_ent_mp, least recently used first; the role is not in the key
+_mp_cache: dict = {}
 
 
 def _mp_forms(cov: np.ndarray, dps: int, who: str) -> tuple[mp.matrix, mp.matrix, mp.mpf]:
-    """:func:`_mp_gibbs_lndet` at ``dps`` digits, shared inside a ``_shared_mp_forms()`` block.
+    """:func:`_mp_gibbs_lndet` at ``dps`` digits, cached by the contents of ``cov``; call under ``_cache_lock``.
 
-    Keyed by contents, not identity, so a covariance changed in place is
-    decomposed again; a covariance that fails to decompose is not kept.
+    A covariance changed in place is decomposed again; one that fails to
+    decompose is not kept, and raises naming ``who`` on every call.
     """
-    memo = {} if _mp_forms_memo is None else _mp_forms_memo
     key = (cov.shape, cov.tobytes(), dps)
-    if key not in memo:
-        memo[key] = _mp_gibbs_lndet(cov, who)
-    return memo[key]
+    if key not in _mp_cache:
+        _mp_cache[key] = _mp_gibbs_lndet(cov, who)
+    return _recent(_mp_cache, [key], _MP_CACHE_SIZE)[0]
 
 
 def _rel_ent_mp(rho0: GaussianState, rho1: GaussianState, dps: int) -> RelEntResult:
     import mpmath as mp
 
-    with mp.workdps(dps):
+    # one call at a time: the cache and mpmath's working precision are shared by all threads
+    with _cache_lock, mp.workdps(dps):
         # the terms of D and V that need no means, with V0 and G1 as lists of
-        # rows, shared by the pairs of equal covariances in a block
-        memo = {} if _mp_pair_memo is None else _mp_pair_memo
+        # rows, shared by the pairs of equal covariances
         key = (rho0.cov.shape, rho0.cov.tobytes(), rho1.cov.tobytes(), dps)
-        if key not in memo:
+        if key not in _mp_cache:
             cov0, gibbs0, lndet0 = _mp_forms(rho0.cov, dps, "rho0")
             _, gibbs1, lndet1 = _mp_forms(rho1.cov, dps, "rho1")
             gamma = gibbs0 - gibbs1
             gv = gamma * cov0
             go = gamma * mp.matrix(symplectic_form(rho0.modes))
-            memo[key] = (
+            _mp_cache[key] = (
                 lndet1 - lndet0 + _mp_trace_of_product(cov0, gibbs1 - gibbs0),
                 _mp_trace_of_product(gv, gv) / 2 + _mp_trace_of_product(go, go) / 8,
                 cov0.tolist(),
                 gibbs1.tolist(),
             )
-        d_cov, v_cov, cov0, gibbs1 = memo[key]
+        d_cov, v_cov, cov0, gibbs1 = _recent(_mp_cache, [key], _MP_CACHE_SIZE)[0]
         delta = [mp.mpf(a) - mp.mpf(b) for a, b in zip(rho0.mean.tolist(), rho1.mean.tolist())]
         # each entry of an mp.matrix product is one fdot, rounded once, so
         # these lists give the bits of the matrix products

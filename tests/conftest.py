@@ -22,7 +22,7 @@ def random_cov():
 
 @pytest.fixture
 def mp_decompositions(monkeypatch):
-    """List that grows by one entry per mp Gibbs decomposition."""
+    """List that grows by one entry per mp Gibbs decomposition, starting from an empty mp cache."""
     calls = []
     decompose = relent._mp_gibbs_lndet
 
@@ -30,7 +30,23 @@ def mp_decompositions(monkeypatch):
         calls.append(args)
         return decompose(*args)
 
+    monkeypatch.setattr(relent, "_mp_cache", {})
     monkeypatch.setattr(relent, "_mp_gibbs_lndet", counting)
+    return calls
+
+
+@pytest.fixture
+def pair_terms(monkeypatch):
+    """List that grows by three entries per pair whose mean-free mp terms are formed, starting from an empty mp cache."""
+    calls = []
+    trace = relent._mp_trace_of_product
+
+    def counting(a, b):
+        calls.append(None)
+        return trace(a, b)
+
+    monkeypatch.setattr(relent, "_mp_cache", {})
+    monkeypatch.setattr(relent, "_mp_trace_of_product", counting)
     return calls
 
 

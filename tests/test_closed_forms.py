@@ -178,11 +178,13 @@ def test_tmsv_asymptote():
         (1.0, 0.0, 0.1, 1),
         (1.0, 6250.0, 1.5, 1),
         (1.0, 6250.0, 0.1, 0),
+        (1.0, 6250.0, 0.1, 2.5),
     ],
 )
 def test_limit_forms_reject_inputs_outside_their_domain(limit, args):
-    # a NaN or infinite input used to come back as a silent value (0.0 or 0.5)
-    with pytest.raises(ValueError):
+    # a NaN or infinite input used to come back as a silent value (0.0 or
+    # 0.5), and 2.5 copies as a bound for a fractional copy count
+    with pytest.raises(ValueError, match=None if args[3] == 1 else "whole number"):
         limit(*args)
 
 

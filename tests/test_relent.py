@@ -1,10 +1,12 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from qibench import relent
+from qibench import gaussian, relent
 from qibench.chernoff import qbb
 from qibench.closed_forms import closed_qre
 from qibench.gaussian import GaussianState, make_coherent, make_thermal, symplectic_form, williamson
@@ -321,6 +323,12 @@ def _fields(res):
     return res.d, res.v
 
 
+def _cold(rho0, rho1, dps):
+    """(D, V) at ``dps`` digits computed from an empty mp cache."""
+    relent._mp_cache.clear()
+    return _fields(relative_entropy(rho0, rho1, dps=dps))
+
+
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_shared_mp_forms_change_no_bits(mp_decompositions, rng, random_cov, modes):
     a, b, c = (
@@ -328,43 +336,106 @@ def test_shared_mp_forms_change_no_bits(mp_decompositions, rng, random_cov, mode
     )
     # pairs that share covariances, in both roles
     pairs = [(a, b), (b, a), (a, c), (c, b), (a, a)]
-    outside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    cold = [_cold(x, y, 50) for x, y in pairs]
+    relent._mp_cache.clear()
     mp_decompositions.clear()
-    with relent._shared_mp_forms():
-        inside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
-        assert inside == outside
-        assert len(mp_decompositions) == 3
+    warm = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    assert warm == cold
+    assert len(mp_decompositions) == 3
 
-        # a covariance changed in place is decomposed again
-        c.cov *= 1.5
-        mutated = _fields(relative_entropy(a, c, dps=50))
-        assert len(mp_decompositions) == 4
-    assert mutated != outside[2]
-    assert mutated == _fields(relative_entropy(a, c, dps=50))
+    # a covariance changed in place is decomposed again
+    c.cov *= 1.5
+    mutated = _fields(relative_entropy(a, c, dps=50))
+    assert len(mp_decompositions) == 4
+    assert mutated != cold[2]
+    assert mutated == _cold(a, c, 50)
 
 
-def test_shared_mp_forms_nest_and_end(mp_decompositions):
+def test_mp_cache_keys_on_dps_and_keeps_no_failure(mp_decompositions):
     calls = mp_decompositions
     rho0, rho1 = make_thermal(1.0), displaced_thermal_state(2.0, 0.3)
-    with relent._shared_mp_forms() as outer:
-        relative_entropy(rho0, rho1, dps=30)
-        with relent._shared_mp_forms() as inner:
-            assert inner is outer
-            relative_entropy(rho1, rho0, dps=30)
-        # the inner block's end keeps the outer forms
-        relative_entropy(rho0, rho1, dps=30)
-        assert len(calls) == 2
-        # the precision is part of the key
-        relative_entropy(rho0, rho1, dps=40)
-        assert len(calls) == 4
-        # a failed decomposition is not kept
+    relative_entropy(rho0, rho1, dps=30)
+    # the role is not part of the key
+    relative_entropy(rho1, rho0, dps=30)
+    assert len(calls) == 2
+    # the precision is part of the key
+    relative_entropy(rho0, rho1, dps=40)
+    assert len(calls) == 4
+    # 4 covariance forms and 3 pairs; a failed decomposition is not kept
+    assert len(relent._mp_cache) == 7
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            relative_entropy(make_coherent(0.1), rho1, dps=30)
+    assert len(calls) == 6
+    assert len(relent._mp_cache) == 7
+
+
+def test_mp_cache_keeps_the_last_128(mp_decompositions):
+    size = relent._MP_CACHE_SIZE
+    # each pair of new covariances adds their two forms and the pair's terms
+    states = [make_thermal(0.1 * n) for n in range(1, 2 * (size // 3) + 5)]
+    pairs = list(zip(states[0::2], states[1::2]))
+    for rho0, rho1 in pairs:
+        relative_entropy(rho0, rho1, dps=15)
+    assert 3 * len(pairs) > size
+    assert len(relent._mp_cache) == size
+    # the last pair is a hit; the first was dropped and is decomposed again
+    relative_entropy(*pairs[-1], dps=15)
+    assert len(mp_decompositions) == len(states)
+    relative_entropy(*pairs[0], dps=15)
+    assert len(mp_decompositions) == len(states) + 2
+    assert len(relent._mp_cache) == size
+
+
+def test_mp_pure_state_error_names_its_role_after_its_partner_is_cached(mp_decompositions):
+    # the mixed partner is cached by content, whatever its role; the pure
+    # state is decomposed, and rejected with its own role, on every call
+    def two_mode(*variances):
+        return GaussianState(2, np.zeros(4), np.diag(variances))
+
+    for mixed, pure, other, index in (
+        (make_thermal(1.0), make_coherent(0.1), make_thermal(2.0), 0),
+        # modes are indexed by descending symplectic eigenvalue
+        (two_mode(1.5, 1.5, 1.5, 1.5), two_mode(0.5, 0.5, 2.0, 2.0), two_mode(2.5, 2.5, 2.5, 2.5), 1),
+    ):
+        relative_entropy(other, mixed, dps=30)
+        relative_entropy(mixed, other, dps=30)
         for _ in range(2):
-            with pytest.raises(ValueError):
-                relative_entropy(make_coherent(0.1), rho1, dps=30)
-        assert len(outer) == 4
-    # outside every block each call decomposes both states
-    relative_entropy(rho0, rho0, dps=30)
-    assert len(calls) == 8
+            with pytest.raises(ValueError, match=rf"rho0 has symplectic eigenvalue 0\.5\d* at mode index {index}"):
+                relative_entropy(pure, mixed, dps=30)
+            with pytest.raises(ValueError, match=rf"rho1 has symplectic eigenvalue 0\.5\d* at mode index {index}"):
+                relative_entropy(mixed, pure, dps=30)
+        assert not any(pure.cov.tobytes() in key for key in relent._mp_cache)
+    assert len(mp_decompositions) == 2 * (2 + 4)
+
+
+@pytest.mark.parametrize("precisions, rounds", [((None,), 10), ((15, 25), 1)])
+def test_caches_are_safe_across_threads(monkeypatch, precisions, rounds):
+    # more threads than cores and more states than either cache holds: a lost
+    # update or an eviction under another thread's look-up raises, and an mp
+    # call at the other precision's digits changes the bits
+    monkeypatch.setattr(gaussian, "_spectrum_cache", {})
+    monkeypatch.setattr(relent, "_mp_cache", {})
+    states = [make_thermal(0.1 * n) for n in range(1, 81)]
+    calls = [((states[i], states[(i + 7) % 80]), dps) for i in range(80) for dps in precisions]
+    expected = [_fields(relative_entropy(*pair, dps=dps)) for pair, dps in calls]
+
+    def work(first):
+        for i in range(first, first + rounds * len(calls)):
+            pair, dps = calls[i % len(calls)]
+            assert _fields(relative_entropy(*pair, dps=dps)) == expected[i % len(calls)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(work, 61 * k) for k in range(4)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    f64 = None in precisions
+    assert len(gaussian._spectrum_cache) == (gaussian._SPECTRUM_CACHE_SIZE if f64 else 0)
+    assert len(relent._mp_cache) == (0 if f64 else relent._MP_CACHE_SIZE)
 
 
 def _matrix_mp_oracle(rho0, rho1, dps):
@@ -387,42 +458,28 @@ def _matrix_mp_oracle(rho0, rho1, dps):
         return float(d), float(v)
 
 
-@pytest.fixture
-def pair_terms(monkeypatch):
-    """List that grows by three entries per pair whose mean-free mp terms are formed."""
-    calls = []
-    trace = relent._mp_trace_of_product
-
-    def counting(a, b):
-        calls.append(None)
-        return trace(a, b)
-
-    monkeypatch.setattr(relent, "_mp_trace_of_product", counting)
-    return calls
-
-
 @pytest.mark.parametrize("modes", [1, 2, 3])
 def test_pairs_differing_in_means_share_their_covariance_terms(pair_terms, rng, random_cov, modes):
     cov0, cov1 = random_cov(rng, modes), random_cov(rng, modes)
     pairs = [
         tuple(GaussianState(modes, rng.normal(size=2 * modes), cov) for cov in (cov0, cov1)) for _ in range(4)
     ]
-    outside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    cold = [_cold(x, y, 50) for x, y in pairs]
     assert len(pair_terms) == 3 * len(pairs)
     # the list-based mean terms give the bits of the matrix products
-    assert outside == [_matrix_mp_oracle(x, y, 50) for x, y in pairs]
+    assert cold == [_matrix_mp_oracle(x, y, 50) for x, y in pairs]
 
+    relent._mp_cache.clear()
     pair_terms.clear()
-    with relent._shared_mp_forms():
-        inside = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
-        assert len(pair_terms) == 3
-        # the order of the pair and the precision are part of the key
-        relative_entropy(pairs[0][1], pairs[0][0], dps=50)
-        relative_entropy(*pairs[0], dps=40)
-        assert len(pair_terms) == 9
-        assert inside == [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
-        assert len(pair_terms) == 9
-    assert inside == outside
+    warm = [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    assert len(pair_terms) == 3
+    # the order of the pair and the precision are part of the key
+    relative_entropy(pairs[0][1], pairs[0][0], dps=50)
+    relative_entropy(*pairs[0], dps=40)
+    assert len(pair_terms) == 9
+    assert warm == [_fields(relative_entropy(x, y, dps=50)) for x, y in pairs]
+    assert len(pair_terms) == 9
+    assert warm == cold
 
 
 def _two_mode_pair():

@@ -41,17 +41,21 @@ def test_equivalence_checks_pass_on_quick_grid():
 
 
 @pytest.mark.parametrize("quick, distinct", [(False, 48), (True, 30)])
-def test_qre_check_decomposes_each_covariance_once(mp_decompositions, quick, distinct):
+def test_qre_check_decomposes_each_covariance_once(mp_decompositions, pair_terms, quick, distinct):
     combos = benchmark_combos(quick=quick)
-    covs = set()
+    covs, pairs = set(), set()
     for scenario in combos:
         pair = hypothesis_pair(scenario)
         covs.update({pair.rho0.cov.tobytes(), pair.rho1.cov.tobytes()})
-    assert len(covs) == distinct
-    for _ in range(2):  # nothing outlives the call
+        pairs.add((pair.rho0.cov.tobytes(), pair.rho1.cov.tobytes()))
+    assert len(covs) == len(pairs) == distinct
+    # the mp cache keeps the grid: a second check decomposes nothing
+    for decomposed in (distinct, 0):
         mp_decompositions.clear()
+        pair_terms.clear()
         result = check_qre_equivalence(combos)
-        assert len(mp_decompositions) == distinct
+        assert len(mp_decompositions) == decomposed
+        assert len(pair_terms) == 3 * decomposed
         assert f"{len(combos)} combos, {distinct} covariances decomposed at dps=50" in result.detail
 
 
