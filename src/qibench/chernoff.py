@@ -72,12 +72,13 @@ class BoundResult:
     """Discrimination error bound (1/2) * C^M with the evaluation point s.
 
     For oracle results value = (1/2) * exp(copies * min(ln prefactor -
-    mean_exponent, 0)), and 0 when that exponent is at or below -745.
-    per_mode_overlap is min(c_s, 1) of the overlap, formed separately, so
-    (1/2) * per_mode_overlap**copies matches value only up to rounding
-    amplified by copies (seen up to ~1e-8 relative). Closed-form results
-    produced by :mod:`qibench.closed_forms` keep the printed single
-    prefactor, value = (1/2) * prefactor * exp(-copies * mean_exponent).
+    mean_exponent, 0)). per_mode_overlap is min(c_s, 1) of the overlap,
+    formed separately, so (1/2) * per_mode_overlap**copies matches value
+    only up to rounding amplified by copies (seen up to ~1e-8 relative).
+    Closed-form results produced by :mod:`qibench.closed_forms` keep the
+    printed single prefactor, value = (1/2) * prefactor * exp(-copies *
+    mean_exponent), the expression and bits of the fig2 figure rows. Both
+    underflow to 0 through exp alone.
     clamped flags a pure-mode regularization in the underlying overlap.
     evaluations counts the s-points the bound evaluated (1 for qbb, 0 for
     closed forms), s_bracket is the width of the final bracket of the
@@ -206,9 +207,8 @@ def _bound_from_overlap(
 ) -> BoundResult:
     # C_s <= 1 for any two states (Hoelder), so a positive ln C is rounding
     ln_c = min(_ln_c(res), 0.0)
-    value = math.exp(math.log(0.5) + copies * ln_c) if ln_c * copies > -745.0 else 0.0
     return BoundResult(
-        value=value,
+        value=math.exp(math.log(0.5) + copies * ln_c),
         per_mode_overlap=min(res.c_s, 1.0),
         s_star=res.s,
         copies=copies,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chernoff import qbb, qcb
-from .closed_forms import closed_bound, closed_qre
+from .closed_forms import _printed_value, closed_bound, closed_qre
 from .gaussian import NumericError
 from .homodyne import DEFAULT_PFA_GRID, channel_from_scenario, roc_homodyne
 from .protocols import FIGURE_IDS, Scenario, figure_grid, hypothesis_pair
@@ -106,11 +106,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
         rows.append(row)
         report_warnings.extend(notes)
     if args.method == "both":
-        a, b = rows[0]["exponent_per_mode"], rows[1]["exponent_per_mode"]
-        dev = abs(a - b) / max(abs(a), abs(b)) if max(abs(a), abs(b)) else 0.0
+        # the deviation and threshold of validate's qcb_exponent_closed_vs_oracle
+        from .validation import QCB_EXPONENT_TOL, _rel_dev
+
+        dev = _rel_dev(rows[0]["exponent_per_mode"], rows[1]["exponent_per_mode"])
         rows.append({"scenario": scenario.label, "method": "agreement", "exponent_rel_dev": dev})
-        if dev > 1e-6:
-            report_warnings.append(f"closed/oracle exponent deviation {dev:.3e} exceeds 1e-6")
+        if dev > QCB_EXPONENT_TOL:
+            report_warnings.append(f"closed/oracle exponent deviation {dev:.3e} exceeds {QCB_EXPONENT_TOL:g}")
     _report(scenario, rows, report_warnings, start)
     return 0
 
@@ -196,9 +198,8 @@ def _figure_payload(
         rows = []
         for scenario in scenarios:
             base = closed_bound(scenario)
-            for m in copies:
-                value = 0.5 * base.prefactor * float(np.exp(-float(m) * base.mean_exponent))
-                rows.append((int(m), value, scenario.label, "qcb_closed"))
+            values = _printed_value(base.prefactor, base.mean_exponent, copies)
+            rows.extend((m, value, scenario.label, "qcb_closed") for m, value in zip(copies.tolist(), values.tolist()))
         header = "m,p_err,scenario,method"
         params = {"m_grid": [int(m) for m in copies]}
     else:

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .chernoff import BoundResult
 from .gaussian import _check_copies
 from .protocols import Scenario
@@ -52,10 +54,14 @@ def _xi2(n1: float, n_b: float) -> float:
     return numerator / _xi1(n1, n_b)
 
 
+def _printed_value(prefactor: float, exponent: float, copies: int | np.ndarray) -> float | np.ndarray:
+    """(1/2) prefactor exp(-M exponent) at one copy count M or elementwise at an int array of them."""
+    return 0.5 * prefactor * np.exp(-copies * exponent)
+
+
 def _bound(prefactor: float, exponent: float, copies: int) -> BoundResult:
-    log_val = math.log(0.5) + math.log(prefactor) - copies * exponent
     return BoundResult(
-        value=math.exp(log_val) if log_val > -745.0 else 0.0,
+        value=float(_printed_value(prefactor, exponent, copies)),
         per_mode_overlap=math.exp(-exponent),
         s_star=0.5,
         copies=copies,
@@ -64,27 +70,33 @@ def _bound(prefactor: float, exponent: float, copies: int) -> BoundResult:
     )
 
 
+def _check_limit_inputs(
+    n_s: float, n_b: float, eta: float, copies: int = 1, excess: float = 0.0, zero_background: bool = False
+) -> None:
+    """Reject inputs outside a closed form's domain, NaN and inf included; n_b = 0 only with ``zero_background``."""
+    n_b_ok = 0.0 < n_b < math.inf or zero_background and n_b == 0.0
+    if not (0.0 <= n_s < math.inf and 0.0 <= excess < math.inf and n_b_ok):
+        rule = ">=" if zero_background else ">"
+        raise ValueError(
+            f"requires finite n_s >= 0, excess >= 0 and n_b {rule} 0, got n_s={n_s!r}, excess={excess!r}, n_b={n_b!r}"
+        )
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
+    _check_copies(copies)
+
+
 def qcb_coherent(signal: float, excess: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
     """Coherent-source bound (1/(2 xi1)) exp(-M eta N_S xi2) with H1 occupation eta*excess + N_B.
 
     The amplified source passes (N_S, N_A), the attenuated maser its
     transmitted photons and n_T, and the optical source excess 0, where the
     bound reduces to (1/2) exp(-M eta N_S (sqrt(N_B+1)-sqrt(N_B))^2).
-    The other inputs are validated by :class:`~qibench.protocols.Scenario`.
+    N_B = 0 is allowed here, as in :class:`~qibench.protocols.Scenario`.
     """
-    _check_copies(copies)
+    _check_limit_inputs(signal, n_b, eta, copies, excess=excess, zero_background=True)
     n1 = eta * excess + n_b
     xi1 = _xi1(n1, n_b)
     return _bound(1.0 / xi1, eta * signal * _xi2(n1, n_b), copies)
-
-
-def _check_limit_inputs(n_s: float, n_b: float, eta: float, copies: int) -> None:
-    """Reject inputs of the two limit forms outside their domain, NaN and inf included."""
-    if not (0.0 <= n_s < math.inf and 0.0 < n_b < math.inf):
-        raise ValueError(f"requires finite n_s >= 0 and n_b > 0, got n_s={n_s!r}, n_b={n_b!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    _check_copies(copies)
 
 
 def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
@@ -139,9 +151,8 @@ def _delta_g(n1: float, n_b: float) -> float:
 
 
 def qre_coherent(signal: float, excess: float, n_b: float, eta: float) -> tuple[float, float]:
-    """(D, V) for received signal eta*signal and H1 excess noise eta*excess."""
-    if n_b <= 0:
-        raise ValueError("relative-entropy forms require n_b > 0")
+    """(D, V) for received signal eta*signal and H1 excess noise eta*excess; requires N_B > 0."""
+    _check_limit_inputs(signal, n_b, eta, excess=excess)
     n1 = eta * excess + n_b
     g1 = math.log1p(1.0 / n1)
     d = eta * signal * g1 + 0.5 * _covariance_divergence(eta * excess, n_b)

@@ -69,6 +69,9 @@ class GaussianState:
             raise ValueError(f"mean must have length {dim}, got {self.mean.shape}")
         if self.cov.shape != (dim, dim):
             raise ValueError(f"cov must be {dim}x{dim}, got {self.cov.shape}")
+        # in Python, cheaper than numpy on a few entries; inf - inf below would warn
+        if not all(map(math.isfinite, [*self.mean.tolist(), *self.cov.ravel().tolist()])):
+            raise ValueError("mean and cov must be finite")
         asym = np.abs(self.cov - self.cov.T).max()
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"cov is not symmetric (max asymmetry {asym:.3e})")
@@ -202,8 +205,14 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
                 if physical[k]:
                     _spectrum_cache[key] = (w.nus[k], ln_top[k], theta[k], projectors[k], clamped[k])
             if not all(physical):
-                raise ValueError(f"covariance is not physical (nu_min = {w.nus[physical.index(False), -1]:.12g} < 1/2)")
+                _check_physical(w.nus[physical.index(False), -1])
         return _recent(_spectrum_cache, keys, _SPECTRUM_CACHE_SIZE)
+
+
+def _check_physical(nu_min: float) -> None:
+    """Reject a smallest symplectic eigenvalue below the vacuum bound 1/2 by more than 1e-10."""
+    if not nu_min >= 0.5 - _PHYSICALITY_TOL:
+        raise ValueError(f"covariance is not physical (nu_min = {nu_min:.12g} < 1/2)")
 
 
 def _recent(cache: dict, keys: list, size: int) -> list:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    _check_copies,
     apply_amplifier,
     apply_beamsplitter,
     make_coherent,
@@ -99,8 +99,7 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (isinstance(self.copies, numbers.Real) and float(self.copies).is_integer()):
-            raise ValueError(f"copies must be a whole number, got {self.copies!r}")
+        _check_copies(self.copies)
         object.__setattr__(self, "copies", int(self.copies))
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
@@ -108,8 +107,6 @@ class Scenario:
             raise ValueError("attenuator transmissivity must lie in (0, 1]")
         if min(self.n_s, self.n_a) < 0 or any(x is not None and x < 0 for x in (self.n_b, self.n_t)):
             raise ValueError("photon numbers must be non-negative")
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
         if self.freq <= 0.0 or self.t_target <= 0.0:
             raise ValueError("frequency and temperatures must be positive")
         if self.kind == MASER and self.n_t is None and self.t_fridge is None:

@@ -17,6 +17,8 @@ mpmath arbitrary precision, whose cache keeps the mp forms of recent
 covariances and the mean-free terms of D and V of recent pairs of them (128
 entries by content and dps, evicted as in ``gaussian._spectra``). mpmath is
 imported inside the functions of that path, so the f64 path never loads it.
+Both paths reject an unphysical state and a pure mode (nu <= 1/2 + 1e-10)
+by the same checks and messages, the mp path on its spectrum in float64.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -30,7 +32,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .gaussian import GaussianState, NumericError, _cache_lock, _check_copies, _recent, _spectra, symplectic_form
+from .gaussian import (
+    GaussianState, NumericError, _cache_lock, _check_copies, _check_physical, _recent, _spectra, symplectic_form
+)
 from .special import normal_quantile
 
 if TYPE_CHECKING:
@@ -63,18 +67,14 @@ class RocCurve:
         return bool(np.all(np.diff(self.p_fa) > 0) and np.all(np.diff(self.p_md) <= 1e-15))
 
 
-def _pure_mode_error(who: str, nu: float, mode: int) -> ValueError:
-    """Pure-mode error; ``mode`` indexes the symplectic eigenvalues sorted descending."""
-    return ValueError(
-        f"Gibbs matrix diverges for pure modes; {who} has symplectic "
-        f"eigenvalue {nu:.12g} at mode index {mode}"
-    )
-
-
 def _check_mixed(nus: np.ndarray, who: str) -> None:
+    """Reject a spectrum, sorted descending, with a pure mode (nu <= 1/2 + 1e-10), naming state and mode."""
     bad = np.nonzero(nus <= 0.5 + _PURE_NU_TOL)[0]
     if bad.size:
-        raise _pure_mode_error(who, nus[bad[0]], int(bad[0]))
+        raise ValueError(
+            f"Gibbs matrix diverges for pure modes; {who} has symplectic "
+            f"eigenvalue {nus[bad[0]]:.12g} at mode index {bad[0]}"
+        )
 
 
 def _gibbs(spectrum: tuple, who: str) -> np.ndarray:
@@ -137,8 +137,7 @@ def _mp_gibbs_lndet(cov: np.ndarray, who: str) -> tuple[mp.matrix, mp.matrix, mp
     import mpmath as mp
 
     cov = mp.matrix(cov)
-    dim = cov.rows
-    n = dim // 2
+    n = cov.rows // 2
     evals, q = mp.eigsy(cov)
     if min(evals) <= 0:
         raise ValueError(f"{who} covariance matrix is not positive definite")
@@ -148,13 +147,12 @@ def _mp_gibbs_lndet(cov: np.ndarray, who: str) -> tuple[mp.matrix, mp.matrix, mp
 
     w = sqrt_cov * (mp.mpc(0, 1) * mp.matrix(symplectic_form(n))) * sqrt_cov
     e, u = mp.eighe(w)
+    # e ascends from -nu_max to +nu_max: its negated first half is the spectrum, sorted descending
+    spectrum = np.array([-float(e[i]) for i in range(n)])
+    _check_physical(spectrum[-1])
+    _check_mixed(spectrum, who)
     half = mp.mpf(1) / 2
     nus = [abs(x) for x in e]
-    for i, nu in enumerate(nus):
-        if nu <= half:
-            # e ascends from -nu_max to +nu_max; modes are indexed by descending
-            # nu, as in the f64 spectra
-            raise _pure_mode_error(who, float(nu), i if i < n else dim - 1 - i)
     lndet = sum(mp.log(nu**2 - half**2) for x, nu in zip(e, nus) if x > 0)
     phi = mp.diag([nu * mp.log((nu + half) / (nu - half)) for nu in nus])
     return cov, (isqrt_cov * (u * phi * u.H) * isqrt_cov).apply(mp.re), lndet

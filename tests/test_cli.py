@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qibench import closed_forms
 from qibench.cli import main
 from qibench.protocols import build_scenario, figure_grid
 
@@ -37,6 +40,35 @@ def test_bound_both_methods_agree(amp_scenario, capsys):
     assert oracle["evaluations"] > 1
     assert 0.0 < oracle["s_bracket"] < 1e-6
     assert oracle["stop"] in ("bracket", "flat", "half", "indistinguishable")
+
+
+def test_bound_closed_value_is_the_fig2_row(tmp_path, capsys):
+    # the closed bound and the figure share one expression: every fig2 row,
+    # bit for bit, over the default M grid
+    for figure_id in ("fig2_upper", "fig2_lower"):
+        assert main(["figure", figure_id, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in (tmp_path / f"{figure_id}.csv").read_text().splitlines()[1:]]
+        scenarios = {s.label: s for s in figure_grid(figure_id)}
+        assert len(scenarios) == 6 and len(rows) == 6 * 78
+        for m, p_err, label, _ in rows:
+            path = write_scenario(tmp_path, dataclasses.replace(scenarios[label], copies=int(m)))
+            assert main(["bound", "--scenario", path, "--method", "closed"]) == 0
+            value = json.loads(capsys.readouterr().out)["results"][0]["value"]
+            assert value == float(p_err), (figure_id, label, m)
+
+
+def test_bound_both_warns_on_a_nan_exponent(amp_scenario, capsys, monkeypatch):
+    # a NaN compares false with the threshold, so it must not pass silently
+    real = closed_forms.qcb_coherent
+    monkeypatch.setattr(
+        closed_forms, "qcb_coherent", lambda *args: dataclasses.replace(real(*args), mean_exponent=math.nan)
+    )
+    assert main(["bound", "--scenario", amp_scenario, "--method", "both"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    agreement = next(r for r in report["results"] if r["method"] == "agreement")
+    assert agreement["exponent_rel_dev"] == math.inf
+    assert report["warnings"] == ["closed/oracle exponent deviation inf exceeds 1e-06"]
 
 
 def test_bound_zero_reflectivity(tmp_path, capsys):

@@ -195,6 +195,37 @@ def test_qcb_coherent_rejects_copies_that_are_not_whole(copies):
         qcb_coherent(1e-2, 6250.0, 6250.0, 0.1, copies)
 
 
+@pytest.mark.parametrize("form", [qcb_coherent, qre_coherent])
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        # a negative signal used to give value 0.545 > 1/2 and D = -0.347
+        ((-1.0, 0.0, 1.0, 0.5), "n_s >= 0"),
+        ((math.nan, 0.0, 1.0, 0.5), "n_s >= 0"),
+        ((math.inf, 0.0, 1.0, 0.5), "n_s >= 0"),
+        ((1.0, -0.5, 1.0, 0.5), "excess >= 0"),
+        ((1.0, math.nan, 1.0, 0.5), "excess >= 0"),
+        ((1.0, math.inf, 1.0, 0.5), "excess >= 0"),
+        ((1.0, 0.0, -1.0, 0.5), "n_b"),
+        ((1.0, 0.0, math.nan, 0.5), "n_b"),
+        ((1.0, 0.0, math.inf, 0.5), "n_b"),
+        ((1.0, 0.0, 1.0, 2.0), "reflectivity"),
+        ((1.0, 0.0, 1.0, -0.1), "reflectivity"),
+        ((1.0, 0.0, 1.0, math.nan), "reflectivity"),
+    ],
+)
+def test_coherent_forms_reject_inputs_outside_their_domain(form, args, match):
+    with pytest.raises(ValueError, match=match):
+        form(*args)
+
+
+def test_coherent_forms_keep_their_background_domain():
+    # Scenario allows N_B = 0, where the bound is finite and the relative entropy is not
+    assert 0.0 < qcb_coherent(1.0, 0.0, 0.0, 0.5).value < 0.5
+    with pytest.raises(ValueError, match="n_b > 0"):
+        qre_coherent(1.0, 0.0, 0.0, 0.5)
+
+
 def test_qre_amp_limits():
     d, v = closed_qre(amp(0.5, 0.0, 6250.0, 1e-2))
     g = math.log1p(1.0 / 6250.0)

@@ -57,6 +57,26 @@ def test_state_validation():
         GaussianState(1, np.zeros(2), asym)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 1])
+def test_state_rejects_a_non_finite_mean(bad, index):
+    # a NaN mean used to give qbb and qcb value 0.0 and relative_entropy NaN
+    mean = np.zeros(2)
+    mean[index] = bad
+    with pytest.raises(ValueError, match="^mean and cov must be finite$"):
+        GaussianState(1, mean, 0.7 * np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1), (2, 3)])
+def test_state_rejects_a_non_finite_cov(bad, entry):
+    # a NaN covariance used to fail only later, as "not physical (nu_min = nan)"
+    cov = 0.7 * np.eye(4)
+    cov[entry] = cov[entry[::-1]] = bad
+    with pytest.raises(ValueError, match="^mean and cov must be finite$"):
+        GaussianState(2, np.zeros(4), cov)
+
+
 def test_amplifier_identity_at_unit_gain():
     state = make_coherent(0.3)
     out = apply_amplifier(state, 1.0)

@@ -92,6 +92,13 @@ def test_scenario_validation():
         build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=0.1, copies=1, t_target=math.inf)
 
 
+@pytest.mark.parametrize("copies", [0, -3, 2.5, math.nan, math.inf, "3"])
+def test_scenario_rejects_copy_counts_as_the_bounds_do(copies):
+    # the rule of gaussian._check_copies, which qbb, qcb and the closed forms apply
+    with pytest.raises(ValueError, match=r"^copies must be a whole number >= 1, got "):
+        build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=0.1, copies=copies, n_b=1.0)
+
+
 def test_hypothesis_pair_zero_reflectivity_collapses():
     scenario = build_scenario(
         OPTICAL, label="o", n_s=1e-2, n_a=6250.0, eta=0.0, copies=1, n_b=6250.0

@@ -67,6 +67,22 @@ def test_unphysical_state_is_named_by_its_nu_min():
             call()
 
 
+@pytest.mark.parametrize("nu", [0.25, 0.5, 0.5 + 1e-11])
+def test_both_precisions_reject_a_state_with_one_message(nu):
+    # the mp path once called nu = 1/4 a pure mode and returned D = 23.94
+    # for nu = 1/2 + 1e-11, which the f64 path rejects
+    bad, mixed = GaussianState(1, np.zeros(2), nu * np.eye(2)), make_thermal(1.0)
+    for pair in ((bad, mixed), (mixed, bad)):
+        messages = []
+        for dps in (None, 50):
+            with pytest.raises(ValueError) as info:
+                relative_entropy(*pair, dps=dps)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        expected = "not physical" if nu < 0.5 else "Gibbs matrix diverges for pure modes"
+        assert expected in messages[0]
+
+
 def inverse_gibbs(cov):
     """The Gibbs matrix S^{-T} diag(g) S^{-1}, from williamson's S and an inverse of it, symmetrized."""
     dec = williamson(cov)

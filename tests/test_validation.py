@@ -56,7 +56,7 @@ def test_qre_check_decomposes_each_covariance_once(mp_decompositions, pair_terms
         result = check_qre_equivalence(combos)
         assert len(mp_decompositions) == decomposed
         assert len(pair_terms) == 3 * decomposed
-        assert f"{len(combos)} combos, {distinct} covariances decomposed at dps=50" in result.detail
+        assert f"{len(combos)} combos, {distinct} distinct covariances at dps=50" in result.detail
 
 
 def test_empty_grid_rejected():
@@ -115,6 +115,12 @@ def test_nan_closed_qre_fails_the_check(monkeypatch):
     assert "worst at amp_eta1e-08_ns0.001_na0_nb1" in result.detail
 
 
+def test_a_check_passes_at_its_threshold_when_its_conditions_hold():
+    assert CheckResult("c", metric=1.0, threshold=1.0).passed
+    assert not CheckResult("c", metric=1.0, threshold=1.0, holds=False).passed
+    assert not CheckResult("c", metric=math.nan, threshold=1.0).passed
+
+
 @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (-math.inf, -math.inf)])
 def test_rel_dev_of_a_non_finite_value_is_inf(a, b):
     assert _rel_dev(a, b) == math.inf
@@ -148,7 +154,6 @@ def _qcb_check_per_combo(combos):
         worst_pre = max(worst_pre, _rel_dev(closed.prefactor, oracle.prefactor))
     return CheckResult(
         name="qcb_exponent_closed_vs_oracle",
-        passed=worst <= 1e-6,
         metric=worst,
         threshold=1e-6,
         detail=f"{len(combos)} combos, worst at {worst_label}; prefactor diag dev {worst_pre:.3e}",
