@@ -3,14 +3,15 @@
 Implements the printed error-probability bounds for the amplified and the
 cryogenically attenuated (maser) coherent-state sources,
 
-    P_err <= (1 / (2 xi1)) exp(-M eta N_S xi2),
+    P_err <= (1 / (2 xi1)) exp(-M mu xi2),
 
 their optical and high-background limits, the TMSV error-exponent asymptote,
-and the relative-entropy pairs (D, V) for the asymmetric setting. The three
-coherent sources share one bound and one (D, V) primitive: the maser is the
-amplified form with N_A -> n_T, the optical source the same at zero excess
-noise. :func:`closed_bound` and :func:`closed_qre` map a scenario onto them
-through ``Scenario.transmitted_signal`` and ``Scenario.n_added``. Square-root
+and the relative-entropy pairs (D, V) for the asymmetric setting, all in
+received photon numbers per mode: signal mu, excess noise e and background
+N_B. The three coherent sources share one bound and one (D, V) primitive:
+the maser is the amplified form with N_A -> n_T, the optical source the same
+at e = 0. :func:`closed_bound` and :func:`closed_qre` read (mu, e, N_B) from
+``Scenario``, the one place that applies the reflectivity. Square-root
 differences are evaluated through their conjugate forms, e.g.
 
     sqrt(N_B + 1) - sqrt(N_B) = 1 / (sqrt(N_B + 1) + sqrt(N_B)),
@@ -39,7 +40,7 @@ def _sqrt_gap(n: float) -> float:
 
 
 def _xi1(n1: float, n_b: float) -> float:
-    """Prefactor coefficient for H1 occupation n1 = eta*N_A + N_B.
+    """Prefactor coefficient for H1 occupation n1 = N_B + e.
 
     Conjugate form of the printed radical: xi1 equals
     sqrt((N_B+1)(n1+1)) - sqrt(N_B n1), rewritten as
@@ -49,7 +50,7 @@ def _xi1(n1: float, n_b: float) -> float:
 
 
 def _xi2(n1: float, n_b: float) -> float:
-    """Exponent coefficient for H1 occupation n1 = eta*N_A + N_B."""
+    """Exponent coefficient for H1 occupation n1 = N_B + e."""
     numerator = _sqrt_gap(n_b) * _sqrt_gap(n1)
     return numerator / _xi1(n1, n_b)
 
@@ -71,44 +72,41 @@ def _bound(prefactor: float, exponent: float, copies: int) -> BoundResult:
 
 
 def _check_limit_inputs(
-    n_s: float, n_b: float, eta: float, copies: int = 1, excess: float = 0.0, zero_background: bool = False
+    mu: float, n_b: float, copies: int = 1, excess: float = 0.0, zero_background: bool = False
 ) -> None:
     """Reject inputs outside a closed form's domain, NaN and inf included; n_b = 0 only with ``zero_background``."""
     n_b_ok = 0.0 < n_b < math.inf or zero_background and n_b == 0.0
-    if not (0.0 <= n_s < math.inf and 0.0 <= excess < math.inf and n_b_ok):
+    if not (0.0 <= mu < math.inf and 0.0 <= excess < math.inf and n_b_ok):
         rule = ">=" if zero_background else ">"
         raise ValueError(
-            f"requires finite n_s >= 0, excess >= 0 and n_b {rule} 0, got n_s={n_s!r}, excess={excess!r}, n_b={n_b!r}"
+            f"requires finite n_s >= 0, excess >= 0 and n_b {rule} 0, got n_s={mu!r}, excess={excess!r}, n_b={n_b!r}"
         )
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
     _check_copies(copies)
 
 
-def qcb_coherent(signal: float, excess: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
-    """Coherent-source bound (1/(2 xi1)) exp(-M eta N_S xi2) with H1 occupation eta*excess + N_B.
+def qcb_coherent(mu: float, excess: float, n_b: float, copies: int = 1) -> BoundResult:
+    """Coherent-source bound (1/(2 xi1)) exp(-M mu xi2) with H1 occupation N_B + excess.
 
-    The amplified source passes (N_S, N_A), the attenuated maser its
-    transmitted photons and n_T, and the optical source excess 0, where the
-    bound reduces to (1/2) exp(-M eta N_S (sqrt(N_B+1)-sqrt(N_B))^2).
-    N_B = 0 is allowed here, as in :class:`~qibench.protocols.Scenario`.
+    The excess is ``Scenario.received_excess``: the amplifier noise N_A or the
+    stage occupation n_T as received, and 0 for the optical source, where the
+    bound reduces to (1/2) exp(-M mu (sqrt(N_B+1)-sqrt(N_B))^2). N_B = 0 is
+    allowed here, as in :class:`~qibench.protocols.Scenario`.
     """
-    _check_limit_inputs(signal, n_b, eta, copies, excess=excess, zero_background=True)
-    n1 = eta * excess + n_b
-    xi1 = _xi1(n1, n_b)
-    return _bound(1.0 / xi1, eta * signal * _xi2(n1, n_b), copies)
+    _check_limit_inputs(mu, n_b, copies, excess=excess, zero_background=True)
+    n1 = excess + n_b
+    return _bound(1.0 / _xi1(n1, n_b), mu * _xi2(n1, n_b), copies)
 
 
-def qcb_high_background(n_s_eff: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
-    """Large-background limit (1/2) exp(-M eta N_S / (4 N_B))."""
-    _check_limit_inputs(n_s_eff, n_b, eta, copies)
-    return _bound(1.0, eta * n_s_eff / (4.0 * n_b), copies)
+def qcb_high_background(mu: float, n_b: float, copies: int = 1) -> BoundResult:
+    """Large-background limit (1/2) exp(-M mu / (4 N_B))."""
+    _check_limit_inputs(mu, n_b, copies)
+    return _bound(1.0, mu / (4.0 * n_b), copies)
 
 
-def tmsv_asymptote(n_s: float, n_b: float, eta: float, copies: int = 1) -> BoundResult:
-    """Entangled-source asymptote (1/2) exp(-M eta N_S / N_B), for comparison curves."""
-    _check_limit_inputs(n_s, n_b, eta, copies)
-    return _bound(1.0, eta * n_s / n_b, copies)
+def tmsv_asymptote(mu: float, n_b: float, copies: int = 1) -> BoundResult:
+    """Entangled-source asymptote (1/2) exp(-M mu / N_B), for comparison curves."""
+    _check_limit_inputs(mu, n_b, copies)
+    return _bound(1.0, mu / n_b, copies)
 
 
 def _log1p_minus_x(x: float) -> float:
@@ -150,24 +148,22 @@ def _delta_g(n1: float, n_b: float) -> float:
     return 2.0 * math.atanh((u0 - u1) / (1.0 - u0 * u1))
 
 
-def qre_coherent(signal: float, excess: float, n_b: float, eta: float) -> tuple[float, float]:
-    """(D, V) for received signal eta*signal and H1 excess noise eta*excess; requires N_B > 0."""
-    _check_limit_inputs(signal, n_b, eta, excess=excess)
-    n1 = eta * excess + n_b
+def qre_coherent(mu: float, excess: float, n_b: float) -> tuple[float, float]:
+    """(D, V) for received signal mu and H1 excess noise e over N_B; requires N_B > 0."""
+    _check_limit_inputs(mu, n_b, excess=excess)
+    n1 = excess + n_b
     g1 = math.log1p(1.0 / n1)
-    d = eta * signal * g1 + 0.5 * _covariance_divergence(eta * excess, n_b)
+    d = mu * g1 + 0.5 * _covariance_divergence(excess, n_b)
     dg = _delta_g(n1, n_b)
-    v = n_b * (1.0 + n_b) * dg * dg + eta * signal * (2.0 * n_b + 1.0) * g1 * g1
+    v = n_b * (1.0 + n_b) * dg * dg + mu * (2.0 * n_b + 1.0) * g1 * g1
     return d, v
 
 
 def closed_bound(scenario: Scenario) -> BoundResult:
     """Closed-form symmetric bound for a scenario."""
-    return qcb_coherent(
-        scenario.transmitted_signal, scenario.n_added, scenario.background, scenario.eta, scenario.copies
-    )
+    return qcb_coherent(scenario.received_signal, scenario.received_excess, scenario.background, scenario.copies)
 
 
 def closed_qre(scenario: Scenario) -> tuple[float, float]:
     """Closed-form (D, V) for a scenario."""
-    return qre_coherent(scenario.transmitted_signal, scenario.n_added, scenario.background, scenario.eta)
+    return qre_coherent(scenario.received_signal, scenario.received_excess, scenario.background)

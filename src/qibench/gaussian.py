@@ -113,8 +113,7 @@ def _symplectic_pairs(cov: np.ndarray) -> WilliamsonDecomposition:
     modes = cov.shape[-1] // 2
 
     w, U = np.linalg.eigh(cov)
-    if w.min() <= 0.0:
-        raise ValueError(f"cov is not positive definite (min eigenvalue {w.min():.3e})")
+    _check_positive_definite(w.min())
     sqrt_cov = (U * np.sqrt(w)[..., None, :]) @ U.swapaxes(-1, -2)
     # H is Hermitian with eigenvalues +-nu_k; the top N eigenpairs, in
     # descending order of nu, are kept (the -nu_k partners are their conjugates)
@@ -129,7 +128,7 @@ def _symplectic_pairs(cov: np.ndarray) -> WilliamsonDecomposition:
     uv = S.reshape(-1, 2 * modes, modes, 2)
     uv /= np.sqrt(nus).reshape(-1, 1, modes, 1)
 
-    physical = nus[..., -1] >= 0.5 - _PHYSICALITY_TOL
+    physical = _physical(nus[..., -1])
     return WilliamsonDecomposition(S=S, nus=nus, physical=bool(physical) if cov.ndim == 2 else physical)
 
 
@@ -209,9 +208,20 @@ def _spectra(*covs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
         return _recent(_spectrum_cache, keys, _SPECTRUM_CACHE_SIZE)
 
 
+def _check_positive_definite(min_eigenvalue: float) -> None:
+    """Reject a covariance whose smallest eigenvalue is not positive: it has no symplectic spectrum."""
+    if min_eigenvalue <= 0.0:
+        raise ValueError(f"cov is not positive definite (min eigenvalue {min_eigenvalue:.3e})")
+
+
+def _physical(nu_min):
+    """The vacuum bound: nu_min >= 1/2 up to 1e-10, for a float or elementwise for an array."""
+    return nu_min >= 0.5 - _PHYSICALITY_TOL
+
+
 def _check_physical(nu_min: float) -> None:
-    """Reject a smallest symplectic eigenvalue below the vacuum bound 1/2 by more than 1e-10."""
-    if not nu_min >= 0.5 - _PHYSICALITY_TOL:
+    """Reject a smallest symplectic eigenvalue that fails :func:`_physical`."""
+    if not _physical(nu_min):
         raise ValueError(f"covariance is not physical (nu_min = {nu_min:.12g} < 1/2)")
 
 

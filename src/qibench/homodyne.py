@@ -52,13 +52,12 @@ class HomodyneChannel:
 
 
 def channel_from_scenario(scenario: Scenario) -> HomodyneChannel:
-    """Homodyne channel of a benchmark scenario: lambda1 = eta n_add + N_B + 1/2."""
-    n_b = scenario.background
-    lambda0 = n_b + 0.5
+    """Homodyne channel of a scenario: the q-marginals of its hypothesis pair, lambda1 = lambda0 + e."""
+    lambda0 = scenario.background + 0.5
     return HomodyneChannel(
         mu=scenario.received_signal,
         lambda0=lambda0,
-        lambda1=lambda0 + scenario.eta * scenario.n_added,
+        lambda1=lambda0 + scenario.received_excess,
         copies=scenario.copies,
     )
 

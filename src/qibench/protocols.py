@@ -130,12 +130,8 @@ class Scenario:
 
     @property
     def n_added(self) -> float:
-        """Excess source noise photons: N_A, n_T or 0 by protocol."""
-        if self.kind == AMPLIFIED:
-            return self.n_a
-        if self.kind == MASER:
-            return self.fridge_occupation
-        return 0.0
+        """Excess source noise photons: N_A (amplified), n_T (maser) or 0 (optical, whose n_T is 0)."""
+        return self.n_a if self.kind == AMPLIFIED else self.fridge_occupation
 
     @property
     def transmitted_signal(self) -> float:
@@ -161,8 +157,13 @@ class Scenario:
 
     @property
     def received_signal(self) -> float:
-        """Mean signal photons per mode at the receiver, eta * N_S^trans."""
+        """Mean signal photons per mode at the receiver, mu = eta * N_S^trans."""
         return self.eta * self.transmitted_signal
+
+    @property
+    def received_excess(self) -> float:
+        """Excess noise photons per mode at the receiver, e = eta * n_added."""
+        return self.eta * self.n_added
 
     def to_dict(self) -> dict:
         doc = {"schema": SCHEMA_VERSION}
@@ -198,7 +199,7 @@ class HypothesisPair:
     """Target-absent / target-present single-mode return states.
 
     rho0 is thermal with N_B photons; rho1 has mean (sqrt(2 mu), 0) and an
-    extra n_added = eta * (source excess noise) photons of covariance.
+    extra n_added = ``Scenario.received_excess`` photons of covariance.
     """
 
     rho0: GaussianState
@@ -209,16 +210,9 @@ class HypothesisPair:
 
 def hypothesis_pair(scenario: Scenario) -> HypothesisPair:
     """Return-state hypothesis pair from the closed V2 expressions."""
-    n_b = scenario.background
-    mu = scenario.received_signal
-    n_added = scenario.eta * scenario.n_added
-    rho0 = make_thermal(n_b)
-    rho1 = GaussianState(
-        1,
-        np.array([math.sqrt(2.0 * mu), 0.0]),
-        (0.5 + n_b + n_added) * np.eye(2),
-    )
-    return HypothesisPair(rho0=rho0, rho1=rho1, mu=mu, n_added=n_added)
+    n_b, mu, n_added = scenario.background, scenario.received_signal, scenario.received_excess
+    rho1 = GaussianState(1, np.array([math.sqrt(2.0 * mu), 0.0]), (0.5 + n_b + n_added) * np.eye(2))
+    return HypothesisPair(rho0=make_thermal(n_b), rho1=rho1, mu=mu, n_added=n_added)
 
 
 def hypothesis_pair_via_channels(scenario: Scenario) -> HypothesisPair:
@@ -253,7 +247,7 @@ def hypothesis_pair_via_channels(scenario: Scenario) -> HypothesisPair:
         rho0=make_thermal(n_b),
         rho1=rho1,
         mu=scenario.received_signal,
-        n_added=scenario.eta * scenario.n_added,
+        n_added=scenario.received_excess,
     )
 
 

@@ -17,8 +17,9 @@ mpmath arbitrary precision, whose cache keeps the mp forms of recent
 covariances and the mean-free terms of D and V of recent pairs of them (128
 entries by content and dps, evicted as in ``gaussian._spectra``). mpmath is
 imported inside the functions of that path, so the f64 path never loads it.
-Both paths reject an unphysical state and a pure mode (nu <= 1/2 + 1e-10)
-by the same checks and messages, the mp path on its spectrum in float64.
+Both paths reject a covariance that is not positive definite, an unphysical
+state and a pure mode (nu <= 1/2 + 1e-10) by the same checks and messages,
+the mp path on its eigenvalues and spectrum in float64.
 
 A result is the pair (d, v) alone; :func:`gibbs_matrix` gives the Gibbs
 matrix of one state.
@@ -33,7 +34,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .gaussian import (
-    GaussianState, NumericError, _cache_lock, _check_copies, _check_physical, _recent, _spectra, symplectic_form
+    GaussianState, NumericError, _cache_lock, _check_copies, _check_physical, _check_positive_definite, _recent,
+    _spectra, symplectic_form,
 )
 from .special import normal_quantile
 
@@ -139,8 +141,7 @@ def _mp_gibbs_lndet(cov: np.ndarray, who: str) -> tuple[mp.matrix, mp.matrix, mp
     cov = mp.matrix(cov)
     n = cov.rows // 2
     evals, q = mp.eigsy(cov)
-    if min(evals) <= 0:
-        raise ValueError(f"{who} covariance matrix is not positive definite")
+    _check_positive_definite(float(min(evals)))
     roots = [mp.sqrt(x) for x in evals]
     sqrt_cov = q * mp.diag(roots) * q.T
     isqrt_cov = q * mp.diag([1 / r for r in roots]) * q.T
@@ -242,7 +243,7 @@ def _probability_grid(grid: Sequence[float] | None, default: np.ndarray, name: s
     values = np.sort(np.asarray(default if grid is None else grid, dtype=float))
     if values.size == 0:
         raise ValueError(f"{name} grid is empty")
-    if values[0] <= 0.0 or values[-1] >= 1.0:
+    if not (values[0] > 0.0 and values[-1] < 1.0):  # a NaN sorts last and fails too
         raise ValueError(f"{name} grid values must lie in (0, 1)")
     return values
 

@@ -108,7 +108,7 @@ def _rel_dev(a: float, b: float) -> float:
 
 
 def check_qcb_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
-    """Closed-form exponent (eta N_S xi2 form) vs the s = 1/2 overlap split.
+    """Closed-form exponent (mu xi2 form) vs the s = 1/2 overlap split.
 
     The grid's covariances are decomposed first, in one stacked call per
     dimension; the spectrum cache holds all of them (48 on the full grid).
@@ -168,14 +168,13 @@ def check_qre_equivalence(combos: list[Scenario] | None = None) -> CheckResult:
 
 def check_amplifier_free_limit() -> CheckResult:
     """The coherent bound at zero excess noise against the conjugate-form
-    optical exponent eta N_S / (sqrt(N_B + 1) + sqrt(N_B))^2."""
+    optical exponent mu / (sqrt(N_B + 1) + sqrt(N_B))^2, at the grid's received signals."""
     worst = 0.0
-    for eta in GRID_ETAS:
-        for n_s in GRID_N_S:
-            for n_b in (0.3, 1.0, 7.5, 100.0, 6250.0, 1e6, 5e8):
-                amp = cf.qcb_coherent(n_s, 0.0, n_b, eta)
-                optical = eta * n_s / (math.sqrt(n_b + 1.0) + math.sqrt(n_b)) ** 2
-                worst = max(worst, _rel_dev(amp.mean_exponent, optical))
+    for mu in [eta * n_s for eta in GRID_ETAS for n_s in GRID_N_S]:
+        for n_b in (0.3, 1.0, 7.5, 100.0, 6250.0, 1e6, 5e8):
+            amp = cf.qcb_coherent(mu, 0.0, n_b)
+            optical = mu / (math.sqrt(n_b + 1.0) + math.sqrt(n_b)) ** 2
+            worst = max(worst, _rel_dev(amp.mean_exponent, optical))
     return CheckResult(
         name="limit_amp_na0_equals_optical",
         metric=worst,
@@ -185,13 +184,13 @@ def check_amplifier_free_limit() -> CheckResult:
 
 
 def check_high_background_limit() -> CheckResult:
-    """Exact optical exponent vs eta N_S / (4 N_B) at N_B = 6250.
+    """Exact optical exponent vs mu / (4 N_B) at N_B = 6250.
 
     The true relative gap is 1/(2 N_B + 1) = 8.0e-5; the stated 2e-5 cannot
     be met by any implementation, so this is a documented expected gap.
     """
-    opt = cf.qcb_coherent(1.0, 0.0, 6250.0, 1.0)
-    hb = cf.qcb_high_background(1.0, 6250.0, 1.0)
+    opt = cf.qcb_coherent(1.0, 0.0, 6250.0)
+    hb = cf.qcb_high_background(1.0, 6250.0)
     dev = _rel_dev(opt.mean_exponent, hb.mean_exponent)
     return CheckResult(
         name="limit_high_background_2e-5",
@@ -205,9 +204,10 @@ def check_high_background_limit() -> CheckResult:
 def check_factor_four() -> CheckResult:
     """TMSV asymptote vs classical exponents: exact factor 4 over the high-
     background form, within 0.01% of the exact optical one at N_B = 6250."""
-    tmsv = cf.tmsv_asymptote(0.37, 6250.0, 0.11).mean_exponent
-    hb = cf.qcb_high_background(0.37, 6250.0, 0.11).mean_exponent
-    opt = cf.qcb_coherent(0.37, 0.0, 6250.0, 0.11).mean_exponent
+    mu = 0.11 * 0.37  # N_S = 0.37 at eta = 0.11
+    tmsv = cf.tmsv_asymptote(mu, 6250.0).mean_exponent
+    hb = cf.qcb_high_background(mu, 6250.0).mean_exponent
+    opt = cf.qcb_coherent(mu, 0.0, 6250.0).mean_exponent
     exact_four = tmsv / hb == 4.0
     dev_opt = abs(tmsv / opt / 4.0 - 1.0)
     return CheckResult(

@@ -93,17 +93,18 @@ def test_criterion_2a_amplifier_free_limit():
     "at N_B = 6250 (criterion 3 allows 1e-4 for the same comparison)",
 )
 def test_criterion_2b_high_background_limit():
-    opt = qcb_coherent(1.0, 0.0, 6250.0, 1.0).mean_exponent
-    hb = qcb_high_background(1.0, 6250.0, 1.0).mean_exponent
+    opt = qcb_coherent(1.0, 0.0, 6250.0).mean_exponent
+    hb = qcb_high_background(1.0, 6250.0).mean_exponent
     dev = rel_dev(opt, hb)
     report("2b (high-background 2e-5)", dev <= 2e-5, f"measured gap {dev:.6e} (stated <=2e-5)")
     assert dev <= 2e-5
 
 
 def test_criterion_3_factor_four_advantage():
-    tmsv = tmsv_asymptote(0.01, 6250.0, 0.01).mean_exponent
-    hb = qcb_high_background(0.01, 6250.0, 0.01).mean_exponent
-    opt = qcb_coherent(0.01, 0.0, 6250.0, 0.01).mean_exponent
+    mu = 0.01 * 0.01  # N_S = 0.01 at eta = 0.01
+    tmsv = tmsv_asymptote(mu, 6250.0).mean_exponent
+    hb = qcb_high_background(mu, 6250.0).mean_exponent
+    opt = qcb_coherent(mu, 0.0, 6250.0).mean_exponent
     exact = tmsv / hb
     dev_opt = abs(tmsv / opt / 4.0 - 1.0)
     passed = exact == 4.0 and dev_opt <= 1e-4

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import qibench
 
 
@@ -8,3 +11,10 @@ def test_public_names_resolve():
     namespace = {}
     exec("from qibench import *", namespace)
     assert set(names) <= namespace.keys()
+
+
+def test_readme_quick_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme[readme.index("## Library quick tour") :]
+    code = re.search(r"```python\n(.*?)```", tour, re.DOTALL).group(1)
+    exec(compile(code, "README.md quick tour", "exec"), {})

@@ -346,7 +346,7 @@ def test_amp_pair_exponent_matches_closed_form():
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_a + n_b, math.sqrt(eta * n_s))
     oracle = qbb(rho0, rho1, 1)
-    closed = qcb_coherent(n_s, n_a, n_b, eta)
+    closed = qcb_coherent(eta * n_s, eta * n_a, n_b)
     assert closed.mean_exponent == pytest.approx(oracle.mean_exponent, rel=1e-8)
     assert closed.prefactor == pytest.approx(oracle.prefactor, rel=1e-10)
 

@@ -5,6 +5,7 @@ import pytest
 
 from qibench.gaussian import (
     GaussianState,
+    _check_physical,
     _symplectic_pairs,
     apply_amplifier,
     apply_beamsplitter,
@@ -229,6 +230,18 @@ def test_is_physical():
     for cov in (np.diag([1.0, -0.5]), -np.eye(2)):
         with pytest.raises(ValueError, match="positive definite"):
             williamson(cov)
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5 - 1e-9, 0.5 - 1e-11, 0.5])
+def test_physical_flag_and_check_apply_one_rule(nu):
+    # williamson's flag and the check behind the oracles' "not physical" share the 1e-10 slack
+    dec = williamson(nu * np.eye(2))
+    assert dec.physical == (nu >= 0.5 - 1e-10)
+    if dec.physical:
+        _check_physical(dec.nus[-1])
+    else:
+        with pytest.raises(ValueError, match="^covariance is not physical"):
+            _check_physical(dec.nus[-1])
 
 
 def test_symplectic_eigenvalues_multimode(rng, random_cov):

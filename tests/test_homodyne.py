@@ -14,8 +14,9 @@ from qibench.homodyne import (
     roc_homodyne,
     threshold_for_pfa,
 )
-from qibench.protocols import figure_grid
+from qibench.protocols import FIGURE_IDS, figure_grid, hypothesis_pair
 from qibench.special import erfc
+from qibench.validation import benchmark_combos
 from test_special import erfc_inv_reference
 
 
@@ -152,6 +153,23 @@ def test_grid_validation():
         threshold_for_pfa(0.0, ch)
     with pytest.raises(ValueError):
         monte_carlo_roc(ch, [0.0], trials=0, seed=1)
+
+
+def test_roc_homodyne_rejects_a_nan_grid_value_as_its_grid():
+    # a NaN sorts last and once reached threshold_for_pfa, which raised "p_fa must lie in (0, 1)"
+    with pytest.raises(ValueError, match=r"^false-alarm grid values must lie in \(0, 1\)$"):
+        roc_homodyne(make_channel(), grid=[0.1, math.nan])
+
+
+def test_channel_is_the_q_marginal_of_the_hypothesis_pair():
+    # one return model: the channel and the pair read (N_B, e, mu) from the scenario
+    scenarios = benchmark_combos() + [s for figure in FIGURE_IDS for s in figure_grid(figure)]
+    assert len(scenarios) == 312
+    for scenario in scenarios:
+        ch, pair = channel_from_scenario(scenario), hypothesis_pair(scenario)
+        assert ch.lambda0 == pair.rho0.cov[0, 0] and ch.lambda1 == pair.rho1.cov[0, 0], scenario.label
+        assert ch.mu == pair.mu and ch.signal_sum == scenario.copies * pair.rho1.mean[0], scenario.label
+        assert scenario.received_excess == pair.n_added, scenario.label
 
 
 def pmd_reference(p_fa, ch):

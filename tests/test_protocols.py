@@ -85,6 +85,10 @@ def test_scenario_validation():
         build_scenario("laser", label="x", n_s=0.1, eta=0.1, copies=1)
     with pytest.raises(ValueError):
         build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=1.5, copies=1)
+    # the reflectivity cases the closed forms rejected while they took eta
+    for eta, message in ((2.0, "reflectivity"), (-0.1, "reflectivity"), (math.nan, "eta must be finite")):
+        with pytest.raises(ValueError, match=message):
+            build_scenario(AMPLIFIED, label="x", n_s=0.1, eta=eta, copies=1)
     with pytest.raises(ValueError):
         build_scenario(MASER, label="x", n_s=0.1, eta=0.1, copies=1)  # no fridge info
     with pytest.raises(ValueError):

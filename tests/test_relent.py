@@ -83,6 +83,15 @@ def test_both_precisions_reject_a_state_with_one_message(nu):
         assert expected in messages[0]
 
 
+def test_both_precisions_reject_a_covariance_that_is_not_positive_definite_with_one_message():
+    # the mp path once raised its own "rho0 covariance matrix is not positive definite"
+    bad, mixed = GaussianState(1, np.zeros(2), np.diag([1.0, -0.5])), make_thermal(1.0)
+    for pair in ((bad, mixed), (mixed, bad)):
+        for dps in (None, 50):
+            with pytest.raises(ValueError, match=r"^cov is not positive definite \(min eigenvalue -5\.000e-01\)$"):
+                relative_entropy(*pair, dps=dps)
+
+
 def inverse_gibbs(cov):
     """The Gibbs matrix S^{-T} diag(g) S^{-1}, from williamson's S and an inverse of it, symmetrized."""
     dec = williamson(cov)
@@ -169,7 +178,7 @@ def test_relative_entropy_amp_pair_matches_closed_form():
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_a + n_b, math.sqrt(eta * n_s))
     res = relative_entropy(rho0, rho1)
-    d_closed, v_closed = qre_coherent(n_s, n_a, n_b, eta)
+    d_closed, v_closed = qre_coherent(eta * n_s, eta * n_a, n_b)
     assert res.d == pytest.approx(d_closed, rel=1e-8)
     assert res.v == pytest.approx(v_closed, rel=1e-8)
 
@@ -181,7 +190,7 @@ def test_relative_entropy_maser_pair_matches_closed_form():
     rho0 = make_thermal(n_b)
     rho1 = displaced_thermal_state(eta * n_t + n_b, math.sqrt(eta * phi * n_s))
     res = relative_entropy(rho0, rho1)
-    d_closed, v_closed = qre_coherent(phi * n_s, n_t, n_b, eta)
+    d_closed, v_closed = qre_coherent(eta * phi * n_s, eta * n_t, n_b)
     assert res.d == pytest.approx(d_closed, rel=1e-8)
     assert res.v == pytest.approx(v_closed, rel=1e-8)
 
@@ -333,6 +342,12 @@ def test_roc_grid_validation():
         roc_asymmetric(state, state, 10, grid=[0.5, 1.5])
     with pytest.raises(ValueError, match="^epsilon grid is empty$"):
         roc_asymmetric(state, state, 10, grid=[])
+
+
+def test_roc_from_rates_rejects_a_nan_grid_value_as_its_grid():
+    # a NaN sorts last and once reached normal_quantile, which raised its own message
+    with pytest.raises(ValueError, match=r"^epsilon grid values must lie in \(0, 1\)$"):
+        roc_from_rates(0.1, 0.1, 10, grid=[0.1, math.nan])
 
 
 def _fields(res):
